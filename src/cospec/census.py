@@ -16,9 +16,11 @@ from enum import Enum
 from fractions import Fraction
 from multiprocessing import Pool
 
-from .errors import CensusInputError, Graph6ParseError, UnsupportedSizeError
+from .errors import CensusInputError, ConsistencyError, Graph6ParseError, UnsupportedSizeError
 from .graphs import (
     GENERATOR_MAX_N,
+    _data_lines,
+    _read_lines,
     complement,
     connected_graph6_lines,
     distance_data,
@@ -34,10 +36,6 @@ class Domain(Enum):
     CONNECTED_COMPLEMENT = "connected-with-connected-complement"
     DIAM2_PAIR = "diam2-pair"
 
-    @property
-    def token(self):
-        return self.value
-
     @classmethod
     def from_token(cls, token):
         try:
@@ -49,19 +47,6 @@ class Domain(Enum):
             ) from None
 
 
-def _check_task(kind, flavor, domain):
-    if (
-        kind.requires_connected
-        and flavor.uses_complement
-        and domain is Domain.CONNECTED
-    ):
-        raise ValueError(
-            f"generalized {kind.value!r} fingerprints need connected complements; "
-            f"use domain {Domain.CONNECTED_COMPLEMENT.value!r} or "
-            f"{Domain.DIAM2_PAIR.value!r}"
-        )
-
-
 @dataclass(frozen=True)
 class CensusTask:
     kind: MatrixKind
@@ -69,7 +54,16 @@ class CensusTask:
     domain: Domain
 
     def __post_init__(self):
-        _check_task(self.kind, self.flavor, self.domain)
+        if (
+            self.kind.requires_connected
+            and self.flavor.uses_complement
+            and self.domain is Domain.CONNECTED
+        ):
+            raise ValueError(
+                f"generalized {self.kind.value!r} fingerprints need connected "
+                f"complements; use domain {Domain.CONNECTED_COMPLEMENT.value!r} or "
+                f"{Domain.DIAM2_PAIR.value!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -89,8 +83,7 @@ class CensusSpec:
             raise ValueError(f"census needs n >= 2 (got {self.n})")
         if not self.kinds:
             raise ValueError("census needs at least one matrix kind")
-        for kind in self.kinds:
-            _check_task(kind, self.flavor, self.domain)
+        self.tasks()  # each CensusTask checks its (kind, flavor, domain)
 
     def tasks(self):
         return [CensusTask(kind, self.flavor, self.domain) for kind in self.kinds]
@@ -134,71 +127,35 @@ def _init_worker(n, tasks):
 
 
 class _Parts:
-    """Lazy cache of matrices, charpolys, SNFs and cof polynomials for one
-    graph and its complement."""
+    """Lazy per-graph cache: the matrices of the graph (side 0) and of its
+    complement (side 1) by (kind, side), and the fingerprint blocks computed
+    from them by (op, kind, side), so tasks that share a block compute it
+    once."""
 
-    __slots__ = ("g", "dd", "cg", "cdd", "mats", "polys", "snfs", "cofs")
+    __slots__ = ("sides", "ops", "mats", "memo")
 
-    def __init__(self, g, dd, cg, cdd):
-        self.g = g
-        self.dd = dd
-        self.cg = cg
-        self.cdd = cdd
+    def __init__(self, sides, ops):
+        self.sides = sides  # ((g, dd), (cg, cdd))
+        self.ops = ops  # op -> function of the matrix
         self.mats = {}
-        self.polys = {}
-        self.snfs = {}
-        self.cofs = {}
+        self.memo = {}
 
-    def matrix(self, kind, side):
-        key = (kind, side)
-        m = self.mats.get(key)
-        if m is None:
-            if side:
-                m = build_matrix(self.cg, kind, data=self.cdd)
-            else:
-                m = build_matrix(self.g, kind, data=self.dd)
-            self.mats[key] = m
-        return m
-
-    def poly(self, kind, side):
-        key = (kind, side)
-        p = self.polys.get(key)
-        if p is None:
-            p = charpoly_coeffs(self.matrix(kind, side))
-            self.polys[key] = p
-        return p
-
-    def snf(self, kind, side):
-        key = (kind, side)
-        d = self.snfs.get(key)
-        if d is None:
-            d = snf_diagonal(self.matrix(kind, side))
-            self.snfs[key] = d
-        return d
-
-    def cof(self, kind):
-        c = self.cofs.get(kind)
-        if c is None:
-            c = cof_coeffs(self.matrix(kind, 0))
-            self.cofs[kind] = c
-        return c
-
-    def blocks(self, kind, flavor):
-        if flavor is Flavor.SPECTRAL:
-            return [self.poly(kind, 0)]
-        if flavor is Flavor.GEN_SPECTRAL:
-            return [self.poly(kind, 0), self.poly(kind, 1)]
-        if flavor is Flavor.R_SPECTRAL:
-            return [self.poly(kind, 0), self.cof(kind)]
-        if flavor is Flavor.INVARIANT:
-            return [self.snf(kind, 0)]
-        return [self.snf(kind, 0), self.snf(kind, 1)]
+    def block(self, op, kind, side):
+        key = (op, kind, side)
+        ints = self.memo.get(key)
+        if ints is None:
+            m = self.mats.get((kind, side))
+            if m is None:
+                g, data = self.sides[side]
+                m = self.mats[kind, side] = build_matrix(g, kind, data=data)
+            ints = self.memo[key] = self.ops[op](m)
+        return ints
 
 
-def _graph_task_keys(n, tasks, lineno, line):
+def _graph_task_keys(n, tasks, ops, lineno, line):
     """(task_index, key) pairs plus domain membership flags for one line."""
     try:
-        g = parse_graph6(line.strip())
+        g = parse_graph6(line)
     except Graph6ParseError as exc:
         raise Graph6ParseError(str(exc), lineno=lineno) from exc
     if g.n != n:
@@ -215,22 +172,25 @@ def _graph_task_keys(n, tasks, lineno, line):
         and dd.diameter == 2
         and cdd.diameter == 2,
     }
-    parts = _Parts(g, dd, cg, cdd)
+    parts = _Parts(((g, dd), (cg, cdd)), ops)
     out = []
     for ti, task in enumerate(tasks):
         if member[task.domain]:
-            key = compose_key(task.kind, task.flavor, parts.blocks(task.kind, task.flavor))
-            out.append((ti, key))
+            kind = task.kind
+            blocks = [parts.block(op, kind, side) for op, side in task.flavor.components]
+            out.append((ti, compose_key(kind, task.flavor, blocks)))
     return member, out
 
 
 def _sweep_chunk(chunk):
     n, tasks = _WORK_N, _WORK_TASKS
+    # read from the module at call time, so that patched attributes apply
+    ops = {"charpoly": charpoly_coeffs, "cof": cof_coeffs, "snf": snf_diagonal}
     counters = [Counter() for _ in tasks]
     firsts = [{} for _ in tasks]
     sizes = {d: 0 for d in Domain}
     for lineno, line in chunk:
-        res = _graph_task_keys(n, tasks, lineno, line)
+        res = _graph_task_keys(n, tasks, ops, lineno, line)
         if res is None:
             continue
         member, keys = res
@@ -245,14 +205,13 @@ def _sweep_chunk(chunk):
     return sizes, counters, firsts
 
 
-def _worker_chunk(chunk):
-    return _sweep_chunk(chunk)
-
-
 def default_jobs():
     env = os.environ.get("COSPEC_JOBS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"COSPEC_JOBS must be an integer (got {env!r})") from None
     return os.cpu_count() or 1
 
 
@@ -262,11 +221,7 @@ def sweep(n, tasks, lines, jobs=None):
     Returns (list of TaskCensus aligned with tasks, domain size dict).
     """
     tasks = list(tasks)
-    numbered = [
-        (lineno, line)
-        for lineno, line in enumerate(lines, start=1)
-        if line.strip() and not line.startswith(">")
-    ]
+    numbered = list(_data_lines(lines))
     if jobs is None:
         jobs = default_jobs()
     if jobs > 1:
@@ -280,7 +235,7 @@ def sweep(n, tasks, lines, jobs=None):
     sizes = {d: 0 for d in Domain}
     if jobs > 1 and len(chunks) > 1:
         with Pool(jobs, initializer=_init_worker, initargs=(n, tasks)) as pool:
-            parts = pool.imap_unordered(_worker_chunk, chunks)
+            parts = pool.imap_unordered(_sweep_chunk, chunks)
             for chunk_sizes, counters, firsts in parts:
                 _merge(results, sizes, chunk_sizes, counters, firsts)
     else:
@@ -290,7 +245,12 @@ def sweep(n, tasks, lines, jobs=None):
             _merge(results, sizes, chunk_sizes, counters, firsts)
     for res in results:
         res.domain_size = sizes[res.task.domain]
-        assert sum(res.buckets.values()) == res.domain_size
+        bucketed = sum(res.buckets.values())
+        if bucketed != res.domain_size:
+            raise ConsistencyError(
+                f"task {res.task.kind.value}/{res.task.flavor.value}: buckets hold "
+                f"{bucketed} graphs, domain {res.task.domain.value} has {res.domain_size}"
+            )
     return results, sizes
 
 
@@ -314,8 +274,7 @@ def source_lines(spec):
                 f"external graph6 file for n = {spec.n}"
             )
         return connected_graph6_lines(spec.n)
-    with open(spec.source, "r", encoding="ascii") as handle:
-        return [line.rstrip("\n") for line in handle]
+    return _read_lines(spec.source)
 
 
 def run_census(spec, lines=None, jobs=None):
@@ -367,8 +326,6 @@ _SIZES_CONNECTED = (6, 21, 112, 853, 11117, 261080, 11716571)
 _SIZES_CC = (1, 8, 68, 662, 9888, 247492, 11427974)
 _SIZES_DIAM2 = (2, 18, 218, 6069, 364270, 44343606)
 
-_ADJ_KINDS = (_K.ADJACENCY, _K.LAPLACIAN, _K.SIGNLESS_LAPLACIAN)
-
 _TABLE1_GIN = {
     _K.ADJACENCY: (0, 12, 95, 830, 11079, 261021, 11716497),
     _K.LAPLACIAN: (0, 0, 0, 14, 886, 22124, 950291),
@@ -419,7 +376,7 @@ _TABLE4_GIN = {
 
 
 def _general_domain(kind):
-    return Domain.CONNECTED if kind in _ADJ_KINDS else Domain.CONNECTED_COMPLEMENT
+    return Domain.CONNECTED_COMPLEMENT if kind.requires_connected else Domain.CONNECTED
 
 
 def expected_tables():
@@ -483,8 +440,7 @@ def diff_paper(max_n=8, sources=None, jobs=None):
                 task_index[task] = len(tasks)
                 tasks.append(task)
         if n in sources:
-            with open(sources[n], "r", encoding="ascii") as handle:
-                lines = [line.rstrip("\n") for line in handle]
+            lines = _read_lines(sources[n])
         else:
             lines = connected_graph6_lines(n)
         results, sizes = sweep(n, tasks, lines, jobs=jobs)

@@ -15,10 +15,10 @@ import argparse
 import json
 import sys
 
-from .census import CensusSpec, Domain, default_jobs, diff_paper, run_census
+from .census import CensusSpec, Domain, diff_paper, run_census
 from .closed_forms import TreeData, multipartite_snf, star_snf, tree_snf
 from .errors import CospecError
-from .graphs import iter_graph6_lines, parse_graph6
+from .graphs import _read_lines, iter_graph6_lines, parse_graph6
 from .intlinalg import charpoly, cof_polynomial, smith_normal_form
 from .invariants import (
     Flavor,
@@ -88,10 +88,8 @@ def _input_graphs(args, parser):
     if literal is not None:
         return [(None, parse_graph6(literal))]
     if source:
-        if source == "-":
-            return list(iter_graph6_lines(sys.stdin))
-        with open(source, "r", encoding="ascii") as handle:
-            return list(iter_graph6_lines(handle))
+        lines = sys.stdin if source == "-" else _read_lines(source)
+        return list(iter_graph6_lines(lines))
     parser.error("a graph6 literal or --input FILE is required")
 
 
@@ -311,8 +309,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "jobs", None) is None and hasattr(args, "jobs"):
-        args.jobs = default_jobs()
     try:
         return args.func(args, parser)
     except CospecError as exc:

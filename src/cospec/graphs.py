@@ -8,6 +8,7 @@ big-endian into 6-bit groups, each offset by 63.
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -231,24 +232,42 @@ def _pack_columns(n, cols):
     return "".join(chars)
 
 
+def _data_lines(lines):
+    """Yield (lineno, line) for the data lines of an iterable of text lines:
+    each line is stripped, then blank and '>'-prefixed header/comment lines
+    are skipped.
+
+    Only ASCII whitespace is stripped: bytes such as 0xa0, which _read_lines
+    decodes to characters str.strip() would remove, must reach
+    parse_graph6's byte range check.
+    """
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip(string.whitespace)
+        if line and not line.startswith(">"):
+            yield lineno, line
+
+
+def _read_lines(pathname):
+    """All lines of a graph6 file, without their line ends.
+
+    Decoding is byte-transparent (latin-1), so a non-ASCII byte becomes one
+    character that parse_graph6 reports with its value and offset.
+    """
+    with open(pathname, "r", encoding="latin-1") as handle:
+        return [line.rstrip("\n") for line in handle]
+
+
 def iter_graph6_lines(lines):
     """Yield (lineno, Graph) from an iterable of text lines.
 
-    Blank lines and '>'-prefixed header/comment lines are skipped.
+    Lines are stripped, then blank lines and '>'-prefixed header/comment
+    lines are skipped.
     """
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith(">"):
-            continue
+    for lineno, line in _data_lines(lines):
         try:
             yield lineno, parse_graph6(line)
         except Graph6ParseError as exc:
             raise Graph6ParseError(str(exc), lineno=lineno) from exc
-
-
-def read_graph6_file(pathname):
-    with open(pathname, "r", encoding="ascii") as handle:
-        yield from iter_graph6_lines(handle)
 
 
 # ---------------------------------------------------------------------------

@@ -40,12 +40,13 @@ class Flavor(Enum):
     GEN_INVARIANT = "gen-invariant"
 
     @property
-    def token(self):
-        return self.value
+    def components(self):
+        """The fingerprint's blocks in key order, as (op, side) pairs."""
+        return _COMPONENTS[self]
 
     @property
     def uses_complement(self):
-        return self in (Flavor.GEN_SPECTRAL, Flavor.GEN_INVARIANT)
+        return any(side for _, side in self.components)
 
     @classmethod
     def from_token(cls, token):
@@ -56,6 +57,29 @@ class Flavor(Enum):
                 f"unknown flavor {token!r}; expected one of "
                 + ", ".join(f.value for f in cls)
             ) from None
+
+
+# op is the computation on a graph matrix; side 0 is the graph and side 1
+# its complement.
+_COMPONENTS = {
+    Flavor.SPECTRAL: (("charpoly", 0),),
+    Flavor.GEN_SPECTRAL: (("charpoly", 0), ("charpoly", 1)),
+    Flavor.R_SPECTRAL: (("charpoly", 0), ("cof", 0)),
+    Flavor.INVARIANT: (("snf", 0),),
+    Flavor.GEN_INVARIANT: (("snf", 0), ("snf", 1)),
+}
+
+
+def _factors(ints):
+    return " ".join(str(v) for v in ints)
+
+
+# op -> (function of the matrix, description label, rendering of its result)
+_OPS = {
+    "charpoly": (charpoly_coeffs, "charpoly", pstr),
+    "cof": (cof_coeffs, "cof polynomial", pstr),
+    "snf": (snf_diagonal, "invariant factors", _factors),
+}
 
 
 def _block(ints):
@@ -74,14 +98,14 @@ def compose_key(kind, flavor, blocks):
     )
 
 
-def _checked_data(g, kind, flavor):
-    """DistanceData for g and its complement as the flavor/kind require."""
+def fingerprint_blocks(g, kind, flavor):
+    """The component int lists of g's fingerprint, in flavor.components order."""
     data = distance_data(g)
     if kind.requires_connected and not data.connected:
         raise ConnectivityError(
             f"kind {kind.value!r} needs a connected graph"
         )
-    cg = cdata = None
+    mats = [build_matrix(g, kind, data=data)]
     if flavor.uses_complement:
         cg = complement(g)
         cdata = distance_data(cg)
@@ -89,23 +113,8 @@ def _checked_data(g, kind, flavor):
             raise ConnectivityError(
                 f"generalized {kind.value!r} fingerprints need a connected complement"
             )
-    return data, cg, cdata
-
-
-def fingerprint_blocks(g, kind, flavor, data=None, cg=None, cdata=None):
-    if data is None:
-        data, cg, cdata = _checked_data(g, kind, flavor)
-    m = build_matrix(g, kind, data=data)
-    if flavor is Flavor.SPECTRAL:
-        return [charpoly_coeffs(m)]
-    if flavor is Flavor.R_SPECTRAL:
-        return [charpoly_coeffs(m), cof_coeffs(m)]
-    if flavor is Flavor.INVARIANT:
-        return [snf_diagonal(m)]
-    mbar = build_matrix(cg, kind, data=cdata)
-    if flavor is Flavor.GEN_SPECTRAL:
-        return [charpoly_coeffs(m), charpoly_coeffs(mbar)]
-    return [snf_diagonal(m), snf_diagonal(mbar)]
+        mats.append(build_matrix(cg, kind, data=cdata))
+    return [_OPS[op][0](mats[side]) for op, side in flavor.components]
 
 
 def fingerprint(g, kind, flavor):
@@ -115,20 +124,12 @@ def fingerprint(g, kind, flavor):
 
 def describe_fingerprint(g, kind, flavor):
     """Human-readable rendering of what the fingerprint encodes."""
-    blocks = fingerprint_blocks(g, kind, flavor)
-    names = {
-        Flavor.SPECTRAL: ("charpoly",),
-        Flavor.GEN_SPECTRAL: ("charpoly", "charpoly of complement"),
-        Flavor.R_SPECTRAL: ("charpoly", "cof polynomial"),
-        Flavor.INVARIANT: ("invariant factors",),
-        Flavor.GEN_INVARIANT: ("invariant factors", "invariant factors of complement"),
-    }[flavor]
     rendered = []
-    for name, ints in zip(names, blocks):
-        if "factors" in name:
-            rendered.append(f"{name}: " + " ".join(str(v) for v in ints))
-        else:
-            rendered.append(f"{name}: " + pstr(ints))
+    for (op, side), ints in zip(flavor.components, fingerprint_blocks(g, kind, flavor)):
+        _, label, render = _OPS[op]
+        if side:
+            label += " of complement"
+        rendered.append(f"{label}: {render(ints)}")
     return f"kind {kind.value}, flavor {flavor.value}; " + "; ".join(rendered)
 
 

@@ -27,12 +27,9 @@ class MatrixKind(Enum):
     SIGNLESS_DEGREE_DISTANCE = "ddeg+"
 
     @property
-    def token(self):
-        return self.value
-
-    @property
     def requires_connected(self):
-        return self not in _ADJACENCY_KINDS
+        diagonal, _, base = _FORMULAS[self]
+        return base == "dist" or diagonal == "trs"
 
     @classmethod
     def from_token(cls, token):
@@ -45,9 +42,21 @@ class MatrixKind(Enum):
             ) from None
 
 
-_ADJACENCY_KINDS = frozenset(
-    {MatrixKind.ADJACENCY, MatrixKind.LAPLACIAN, MatrixKind.SIGNLESS_LAPLACIAN}
-)
+# M = diag(diagonal) + sign * base, with diagonal None (zero), "deg" or
+# "trs" and base "adj" (adjacency A) or "dist" (distance D). Both bases have
+# a zero diagonal, so M's diagonal is the diagonal vector alone.
+_FORMULAS = {
+    MatrixKind.ADJACENCY: (None, 1, "adj"),
+    MatrixKind.LAPLACIAN: ("deg", -1, "adj"),
+    MatrixKind.SIGNLESS_LAPLACIAN: ("deg", 1, "adj"),
+    MatrixKind.DISTANCE: (None, 1, "dist"),
+    MatrixKind.DISTANCE_LAPLACIAN: ("trs", -1, "dist"),
+    MatrixKind.SIGNLESS_DISTANCE_LAPLACIAN: ("trs", 1, "dist"),
+    MatrixKind.TRANSMISSION_ADJACENCY: ("trs", -1, "adj"),
+    MatrixKind.SIGNLESS_TRANSMISSION_ADJACENCY: ("trs", 1, "adj"),
+    MatrixKind.DEGREE_DISTANCE: ("deg", -1, "dist"),
+    MatrixKind.SIGNLESS_DEGREE_DISTANCE: ("deg", 1, "dist"),
+}
 
 ALL_KINDS = tuple(MatrixKind)
 DISTANCE_KINDS = tuple(k for k in MatrixKind if k.requires_connected)
@@ -71,58 +80,26 @@ def build_matrix(g, kind, data=None):
     data may carry a precomputed DistanceData for g to avoid repeating the
     BFS; it is required to be g's own.
     """
+    diagonal, sign, base = _FORMULAS[kind]
     n = g.n
-    rows = g.rows
-    adj = [[(rows[i] >> j) & 1 for j in range(n)] for i in range(n)]
-    if kind is MatrixKind.ADJACENCY:
-        return adj
-    if kind in _ADJACENCY_KINDS:
-        deg = [bin(r).count("1") for r in rows]
-        if kind is MatrixKind.LAPLACIAN:
-            return [
-                [deg[i] - adj[i][j] if i == j else -adj[i][j] for j in range(n)]
-                for i in range(n)
-            ]
-        return [
-            [deg[i] + adj[i][j] if i == j else adj[i][j] for j in range(n)]
-            for i in range(n)
-        ]
-    if data is None:
-        data = distance_data(g)
-    if not data.connected:
-        raise ConnectivityError(
-            f"matrix kind {kind.value!r} needs a connected graph"
-        )
-    dist = data.dist
-    if kind is MatrixKind.DISTANCE:
-        return [list(row) for row in dist]
-    if kind is MatrixKind.DISTANCE_LAPLACIAN:
-        diag = data.trs
-        sign = -1
-    elif kind is MatrixKind.SIGNLESS_DISTANCE_LAPLACIAN:
-        diag = data.trs
-        sign = 1
-    elif kind is MatrixKind.TRANSMISSION_ADJACENCY:
-        diag = data.trs
-        return [
-            [diag[i] if i == j else -adj[i][j] for j in range(n)] for i in range(n)
-        ]
-    elif kind is MatrixKind.SIGNLESS_TRANSMISSION_ADJACENCY:
-        diag = data.trs
-        return [
-            [diag[i] if i == j else adj[i][j] for j in range(n)] for i in range(n)
-        ]
-    elif kind is MatrixKind.DEGREE_DISTANCE:
-        diag = data.deg
-        sign = -1
-    elif kind is MatrixKind.SIGNLESS_DEGREE_DISTANCE:
-        diag = data.deg
-        sign = 1
-    else:  # pragma: no cover
-        raise AssertionError(kind)
+    if kind.requires_connected:
+        if data is None:
+            data = distance_data(g)
+        if not data.connected:
+            raise ConnectivityError(
+                f"matrix kind {kind.value!r} needs a connected graph"
+            )
+    if base == "dist":
+        entries = data.dist
+    else:
+        entries = [[(r >> j) & 1 for j in range(n)] for r in g.rows]
+    if diagonal is None:
+        diag = (0,) * n
+    else:
+        diag = data.trs if diagonal == "trs" else g.degrees()
     return [
-        [diag[i] + sign * dist[i][j] if i == j else sign * dist[i][j] for j in range(n)]
-        for i in range(n)
+        [diag[i] if i == j else sign * v for j, v in enumerate(row)]
+        for i, row in enumerate(entries)
     ]
 
 

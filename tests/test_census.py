@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -206,3 +207,61 @@ def test_census_buckets_match_pairwise_predicate():
     assert related(
         complement(pair[0]), complement(pair[1]), K.SIGNLESS_LAPLACIAN, F.SPECTRAL
     )
+
+
+def test_sweep_keys_equal_fingerprints_for_every_task():
+    # the sweep's cached blocks give the same key as fingerprint() for all
+    # 50 kind x flavor tasks
+    from cospec.graphs import complement, parse_graph6
+    from cospec.invariants import fingerprint
+
+    lines = connected_graph6_lines(6)
+    tasks = [CensusTask(kind, flavor, D.CONNECTED_COMPLEMENT) for kind in K for flavor in F]
+    results, sizes = sweep(6, tasks, lines, jobs=1)
+    domain = [g for g in map(parse_graph6, lines) if complement(g).is_connected()]
+    assert len(tasks) == 50 and sizes[D.CONNECTED_COMPLEMENT] == len(domain) == 68
+    for res in results:
+        kind, flavor = res.task.kind, res.task.flavor
+        assert res.buckets == Counter(fingerprint(g, kind, flavor) for g in domain)
+
+
+def test_shared_blocks_computed_once_per_graph(monkeypatch):
+    # tasks sharing an (op, kind, side) block compute it once per graph, and
+    # the sweep calls the block functions through the census module
+    import cospec.census as census
+
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("build_matrix", "charpoly_coeffs", "snf_diagonal", "cof_coeffs"):
+        monkeypatch.setattr(census, name, counted(name, getattr(census, name)))
+    tasks = [CensusTask(K.ADJACENCY, flavor, D.CONNECTED) for flavor in F]
+    _, sizes = sweep(5, tasks, connected_graph6_lines(5), jobs=1)
+    graphs = sizes[D.CONNECTED]
+    assert graphs == 21
+    # sides 0 and 1 of kind a, once each per graph
+    assert calls == Counter(
+        build_matrix=2 * graphs,
+        charpoly_coeffs=2 * graphs,
+        snf_diagonal=2 * graphs,
+        cof_coeffs=graphs,
+    )
+
+
+def test_bucket_count_mismatch_raises_consistency_error(monkeypatch):
+    # a check that survives python -O: drop every key, so the domain counts
+    # the graphs while the buckets do not
+    import cospec.census as census
+    from cospec.errors import ConsistencyError
+
+    keys = census._graph_task_keys
+    monkeypatch.setattr(census, "_graph_task_keys", lambda *args: (keys(*args)[0], []))
+    task = CensusTask(K.ADJACENCY, F.SPECTRAL, D.CONNECTED)
+    with pytest.raises(ConsistencyError, match="buckets hold 0 graphs"):
+        sweep(4, [task], connected_graph6_lines(4), jobs=1)

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 
@@ -165,3 +166,50 @@ def test_diff_paper_cli(capsys):
     lines = out.strip().splitlines()
     assert all(line.startswith("PASS") for line in lines[:-1])
     assert lines[-1].endswith("0 mismatches")
+
+
+def test_bad_cospec_jobs_is_one_line_error(capsys, monkeypatch):
+    monkeypatch.setenv("COSPEC_JOBS", "abc")
+    code, out, err = run_cli(
+        capsys,
+        "census", "--n", "4", "--domain", "connected",
+        "--kind", "a", "--flavor", "spectral",
+    )
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert "COSPEC_JOBS" in err and "'abc'" in err
+
+
+def test_non_ascii_byte_reports_line_number(tmp_path, capsys):
+    src = tmp_path / "bad.g6"
+    src.write_bytes(b">>graph6<<\nC~\nC\xe9\n")
+    want = "cospec: line 3: data byte 233 outside [63, 126] (byte offset 1)\n"
+    code, out, err = run_cli(
+        capsys,
+        "census", "--n", "4", "--domain", "connected",
+        "--kind", "a", "--flavor", "spectral", "--input", str(src),
+    )
+    assert (code, out, err) == (1, "", want)
+    code, out, err = run_cli(
+        capsys, "fingerprint", "--kind", "a", "--flavor", "spectral", "--input", str(src)
+    )
+    assert (code, out, err) == (1, "", want)
+
+
+def test_indented_header_and_crlf_agree_across_commands(tmp_path, capsys):
+    # the same line rule in census and fingerprint --input: lines are
+    # stripped, then blank and '>' lines are skipped
+    lines = connected_graph6_lines(5)
+    src = tmp_path / "crlf.g6"
+    src.write_bytes(("  >>graph6<<\r\n\r\n" + "\r\n".join(lines) + "\r\n").encode("ascii"))
+    argv = ("--kind", "q", "--flavor", "gen-spectral", "--input", str(src))
+    code, out, _ = run_cli(capsys, "census", "--n", "5", "--domain", "connected", *argv)
+    assert code == 0 and out.endswith("q,gen-spectral,5,21,2,2/21\n")
+    code, out, _ = run_cli(capsys, "fingerprint", *argv)
+    keys = out.split()
+    assert code == 0 and keys == [
+        fingerprint(parse_graph6(line), K.SIGNLESS_LAPLACIAN, Flavor.GEN_SPECTRAL).hex()
+        for line in lines
+    ]
+    counts = Counter(keys)
+    assert len(keys) == 21 and sum(c for c in counts.values() if c >= 2) == 2
