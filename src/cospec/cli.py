@@ -18,7 +18,7 @@ import sys
 from .census import CensusSpec, Domain, diff_paper, run_census
 from .closed_forms import TreeData, multipartite_snf, star_snf, tree_snf
 from .errors import CospecError
-from .graphs import _read_lines, iter_graph6_lines, parse_graph6
+from .graphs import _decode_lines, _read_lines, iter_graph6_lines, parse_graph6
 from .intlinalg import charpoly, cof_polynomial, smith_normal_form
 from .invariants import (
     Flavor,
@@ -88,7 +88,7 @@ def _input_graphs(args, parser):
     if literal is not None:
         return [(None, parse_graph6(literal))]
     if source:
-        lines = sys.stdin if source == "-" else _read_lines(source)
+        lines = _decode_lines(sys.stdin.buffer) if source == "-" else _read_lines(source)
         return list(iter_graph6_lines(lines))
     parser.error("a graph6 literal or --input FILE is required")
 

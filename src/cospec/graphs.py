@@ -1,13 +1,15 @@
 """Graphs as immutable adjacency bitsets, graph6 I/O, BFS metric data,
 canonical keys, and self-contained generators for small vertex counts.
 
-graph6 here is the short form: one header byte n+63, then the upper
-triangle in column-major pair order (0,1),(0,2),(1,2),(0,3),... packed
-big-endian into 6-bit groups, each offset by 63.
+graph6 here is the size, one byte n+63 for n <= 62 and '~' plus three
+bytes for 63 <= n <= 64, then the upper triangle in column-major pair order
+(0,1),(0,2),(1,2),(0,3),... packed big-endian into 6-bit groups, each
+offset by 63.
 """
 
 from __future__ import annotations
 
+import io
 import string
 from dataclasses import dataclass
 from functools import lru_cache
@@ -15,7 +17,7 @@ from functools import lru_cache
 from .errors import Graph6ParseError, UnsupportedSizeError
 
 MAX_VERTICES = 64  # representable
-MAX_GRAPH6_VERTICES = 63  # header byte must stay within [63, 126]
+MAX_SHORT_GRAPH6_VERTICES = 62  # one size byte; header 126 starts the long form
 CANONICAL_MAX_N = 8
 GENERATOR_MAX_N = 8
 TREE_MAX_N = 12
@@ -147,10 +149,13 @@ def complement(g):
 
 
 def parse_graph6(s):
-    """Parse one canonical short-form graph6 line into a Graph.
+    """Parse one canonical graph6 line into a Graph.
 
-    Rejects bytes outside [63, 126], truncated input, trailing garbage and
-    nonzero padding bits, naming the offending byte offset.
+    The size is one header byte n+63 for n <= 62, or '~' followed by three
+    bytes holding n in big-endian 6-bit groups for 63 <= n <= 64 (the long
+    form; larger sizes exceed MAX_VERTICES). Rejects bytes outside
+    [63, 126], a long form for n <= 62, truncated input, trailing garbage
+    and nonzero padding bits, naming the offending byte offset.
     """
     s = s.rstrip("\n")
     if not s:
@@ -159,23 +164,45 @@ def parse_graph6(s):
     if not 63 <= b0 <= 126:
         raise Graph6ParseError(f"header byte {b0} outside [63, 126]", offset=0)
     n = b0 - 63
+    start = 1
+    if b0 == 126:
+        start = 4
+        if len(s) < start:
+            raise Graph6ParseError("truncated graph6 long-form size", offset=len(s))
+        n = 0
+        for k in range(1, start):
+            b = ord(s[k])
+            if not 63 <= b <= 126:
+                raise Graph6ParseError(f"size byte {b} outside [63, 126]", offset=k)
+            n = (n << 6) | (b - 63)
+        if n > MAX_VERTICES:
+            raise Graph6ParseError(
+                f"graph6 size exceeds {MAX_VERTICES} vertices", offset=1
+            )
+        if n <= MAX_SHORT_GRAPH6_VERTICES:
+            raise Graph6ParseError(
+                f"long-form size {n} must use the one-byte form", offset=1
+            )
     if n == 0:
         raise Graph6ParseError("graph6 encodes an empty vertex set", offset=0)
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
-    if len(s) - 1 < nbytes:
+    if len(s) - start < nbytes:
         raise Graph6ParseError(
-            f"need {nbytes} data bytes for n = {n}, got {len(s) - 1}", offset=len(s)
+            f"need {nbytes} data bytes for n = {n}, got {len(s) - start}",
+            offset=len(s),
         )
-    if len(s) - 1 > nbytes:
-        raise Graph6ParseError("trailing garbage after graph6 data", offset=1 + nbytes)
+    if len(s) - start > nbytes:
+        raise Graph6ParseError(
+            "trailing garbage after graph6 data", offset=start + nbytes
+        )
     rows = [0] * n
     pairs = _PAIR_CACHE(n)
     bitpos = 0
-    for k in range(nbytes):
-        b = ord(s[1 + k])
+    for k in range(start, start + nbytes):
+        b = ord(s[k])
         if not 63 <= b <= 126:
-            raise Graph6ParseError(f"data byte {b} outside [63, 126]", offset=1 + k)
+            raise Graph6ParseError(f"data byte {b} outside [63, 126]", offset=k)
         group = b - 63
         for t in range(5, -1, -1):
             bit = (group >> t) & 1
@@ -186,7 +213,7 @@ def parse_graph6(s):
                     rows[u] |= 1 << v
                     rows[v] |= 1 << u
             elif bit:
-                raise Graph6ParseError("nonzero padding bit", offset=1 + k)
+                raise Graph6ParseError("nonzero padding bit", offset=k)
             bitpos += 1
     return Graph(n, tuple(rows))
 
@@ -201,12 +228,12 @@ def _PAIR_CACHE(n):
 
 
 def write_graph6(g):
-    """Canonical short-form graph6 line; inverse of parse_graph6."""
+    """Canonical graph6 line; inverse of parse_graph6."""
     n = g.n
-    if n > MAX_GRAPH6_VERTICES:
-        raise UnsupportedSizeError(
-            f"graph6 short form caps at {MAX_GRAPH6_VERTICES} vertices (got {n})"
-        )
+    if n <= MAX_SHORT_GRAPH6_VERTICES:
+        size = chr(n + 63)
+    else:
+        size = "~" + "".join(chr((n >> k & 63) + 63) for k in (12, 6, 0))
     cols = []
     rows = g.rows
     for v in range(1, n):
@@ -214,7 +241,7 @@ def write_graph6(g):
         for u in range(v):
             c = (c << 1) | ((rows[u] >> v) & 1)
         cols.append(c)
-    return chr(n + 63) + _pack_columns(n, cols)
+    return size + _pack_columns(n, cols)
 
 
 def _pack_columns(n, cols):
@@ -248,13 +275,24 @@ def _data_lines(lines):
 
 
 def _read_lines(pathname):
-    """All lines of a graph6 file, without their line ends.
+    """All lines of a graph6 file, without their line ends."""
+    with open(pathname, "rb") as handle:
+        return _decode_lines(handle)
+
+
+def _decode_lines(stream):
+    """All lines of a binary stream, without their line ends; the stream is
+    left open.
 
     Decoding is byte-transparent (latin-1), so a non-ASCII byte becomes one
-    character that parse_graph6 reports with its value and offset.
+    character that parse_graph6 reports with its value and offset. Line
+    ends are those of text mode: \\n, \\r\\n and \\r.
     """
-    with open(pathname, "r", encoding="latin-1") as handle:
-        return [line.rstrip("\n") for line in handle]
+    text = io.TextIOWrapper(stream, encoding="latin-1")
+    try:
+        return [line.rstrip("\n") for line in text]
+    finally:
+        text.detach()
 
 
 def iter_graph6_lines(lines):

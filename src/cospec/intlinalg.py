@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import prod
+from math import isqrt, prod
+from operator import ne
 
-from .errors import UnsupportedSizeError
+from .errors import ConsistencyError, UnsupportedSizeError
 from .polynomials import (
     IntPolynomial,
     padd,
@@ -67,42 +68,59 @@ def determinant(m):
 
 
 def charpoly_coeffs(m):
-    """Coefficients (ascending) of det(xI - m), via the division-free
-    Berkowitz recurrence on leading principal blocks."""
+    """Coefficients (ascending) of p(x) = det(xI - m) for a symmetric integer m.
+
+    Kronecker substitution: one exact determinant det(m - X*I) =
+    (-1)^n p(X) at X = 2^b, read back as balanced base-X digits. The
+    eigenvalues are real and their squares sum to f = ||m||_F^2, so with
+    r = isqrt(f // n) + 1 Maclaurin's inequality gives
+    |c_k| <= C(n, k) * r^k < (1 + r)^n <= X / 2 for
+    b = bitlen((1 + r)^n) + 1: every digit is one coefficient.
+
+    The determinant is a fraction-free (Bareiss) elimination without
+    pivoting. The k-th pivot is the leading principal minor
+    (-1)^k p_k(X) != 0, since X > 1 + n*r > sqrt(f) bounds every eigenvalue
+    of every principal submatrix. Diagonal pivots keep each Schur
+    complement symmetric, so only its upper triangle is stored: row t holds
+    the entries from the diagonal rightwards. Each step drops the pivot row
+    and column.
+    """
     n = len(m)
-    c = [1, -m[0][0]]
-    for i in range(1, n):
-        mi = m[i]
-        row_left = mi[:i]
-        v = [m[j][i] for j in range(i)]
-        t = [1, -mi[i]]
-        s = 0
-        for j in range(i):
-            s += row_left[j] * v[j]
-        t.append(-s)
-        for _ in range(i - 1):
-            w = []
-            for r in range(i):
-                mr = m[r]
-                acc = 0
-                for j in range(i):
-                    acc += mr[j] * v[j]
-                w.append(acc)
-            v = w
-            s = 0
-            for j in range(i):
-                s += row_left[j] * v[j]
-            t.append(-s)
-        lc = len(c)
-        cn = []
-        for r in range(i + 2):
-            acc = 0
-            top = r if r < lc else lc - 1
-            for j in range(top + 1):
-                acc += t[r - j] * c[j]
-            cn.append(acc)
-        c = cn
-    return tuple(reversed(c))
+    if any(map(ne, map(tuple, m), zip(*m))):
+        raise ValueError("charpoly_coeffs needs a symmetric matrix")
+    if not n:
+        return (1,)
+    r = isqrt(sum([v * v for row in m for v in row]) // n) + 1
+    b = ((1 + r) ** n).bit_length() + 1
+    x = 1 << b
+    tri = [[row[i] - x, *row[i + 1 :]] for i, row in enumerate(m)]
+    prev = 1
+    while len(tri) > 1:
+        piv = tri.pop(0)
+        p = piv.pop(0)
+        for t, row in enumerate(tri):
+            # piv now starts at row t's diagonal column
+            c = piv[0]
+            tri[t] = [(u * p - c * w) // prev for u, w in zip(row, piv)]
+            del piv[0]
+        prev = p
+    det = -tri[0][0] if n & 1 else tri[0][0]
+    mask = x - 1
+    half = x >> 1
+    coeffs = []
+    for _ in range(n + 1):
+        d = det & mask
+        det >>= b
+        if d >= half:
+            d -= x
+            det += 1
+        coeffs.append(d)
+    if det or coeffs[-1] != 1:
+        raise ConsistencyError(
+            f"charpoly digits of det(M - 2^{b} I) do not decode to a monic "
+            f"degree-{n} polynomial"
+        )
+    return tuple(coeffs)
 
 
 def charpoly(m):
@@ -155,91 +173,75 @@ class InvariantFactors:
 
 
 def snf_diagonal(m):
-    """Invariant factors of an integer matrix as a raw tuple.
+    """Invariant factors of a square integer matrix as a raw tuple.
 
-    Elimination picks the nonzero entry of minimum absolute value as pivot
-    at every stage, which keeps intermediate entries small.
+    Each stage takes a pivot, clears its column and row, then drops the
+    pivot row and column, so no row or column is ever swapped. A unit
+    pivot is found by scanning whole rows with `in`; otherwise the pivot is
+    the nonzero entry of minimum absolute value, which keeps intermediate
+    entries small. A non-unit pivot runs Euclid steps, each promoting a
+    nonzero remainder to pivot, until it clears its column and row and
+    divides every remaining entry. A unit pivot divides everything, so
+    clearing its column ends the stage: the column operations that would
+    clear its row change only the pivot row, which is dropped.
     """
     n = len(m)
-    a = [row[:] for row in m]
+    rows = [list(row) for row in m]
     out = []
-    for k in range(n):
-        piv_i = -1
-        piv_j = -1
-        best = 0
-        for i in range(k, n):
-            row = a[i]
-            for j in range(k, n):
-                v = row[j]
-                if v:
-                    av = -v if v < 0 else v
-                    if piv_i < 0 or av < best:
-                        best = av
-                        piv_i = i
-                        piv_j = j
-                        if av == 1:
+    while rows:
+        for i, row in enumerate(rows):
+            if 1 in row:
+                j = row.index(1)
+                break
+            if -1 in row:
+                j = row.index(-1)
+                break
+        else:
+            best = 0
+            for t, row in enumerate(rows):
+                sizes = set(map(abs, row))
+                sizes.discard(0)
+                if sizes:
+                    v = min(sizes)
+                    if not best or v < best:
+                        best, i = v, t
+            if not best:
+                break
+            row = rows[i]
+            j = row.index(best) if best in row else row.index(-best)
+        prow = rows.pop(i)
+        p = prow[j]
+        while p != 1 and p != -1:
+            for t, row in enumerate(rows):
+                if row[j]:
+                    q = row[j] // p
+                    row = rows[t] = [u - q * w for u, w in zip(row, prow)]
+                    if row[j]:
+                        rows[t], prow, p = prow, row, row[j]
+                        break
+            else:
+                # column j is clear in every other row, so the column
+                # operations clearing the pivot row change it alone
+                for c, v in enumerate(prow):
+                    if v and c != j:
+                        v %= p
+                        prow[c] = v
+                        if v:
+                            p, j = v, c
                             break
-            if best == 1 and piv_i >= 0:
-                break
-        if piv_i < 0:
-            out.extend([0] * (n - k))
-            break
-        if piv_i != k:
-            a[k], a[piv_i] = a[piv_i], a[k]
-        if piv_j != k:
-            for row in a:
-                row[k], row[piv_j] = row[piv_j], row[k]
-        while True:
-            rk = a[k]
-            p = rk[k]
-            dirty = False
-            for i in range(k + 1, n):
-                ri = a[i]
-                v = ri[k]
-                if v:
-                    q = v // p
-                    if q:
-                        for j in range(k, n):
-                            ri[j] -= q * rk[j]
-                    if ri[k]:
-                        # Euclid step: the remainder is strictly smaller,
-                        # promote it to pivot and start over.
-                        a[k], a[i] = a[i], a[k]
-                        dirty = True
+                else:
+                    bad = next((row for row in rows if any(map(p.__rmod__, row))), None)
+                    if bad is None:
                         break
-            if dirty:
-                continue
-            for j in range(k + 1, n):
-                v = rk[j]
-                if v:
-                    q = v // p
-                    if q:
-                        for i in range(k, n):
-                            a[i][j] -= q * a[i][k]
-                    if rk[j]:
-                        for row in a:
-                            row[k], row[j] = row[j], row[k]
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            # Row and column k are clear; enforce divisibility of the rest.
-            viol = -1
-            for i in range(k + 1, n):
-                ri = a[i]
-                for j in range(k + 1, n):
-                    if ri[j] % p:
-                        viol = i
-                        break
-                if viol >= 0:
-                    break
-            if viol < 0:
-                break
-            rv = a[viol]
-            for j in range(k, n):
-                rk[j] += rv[j]
-        out.append(abs(a[k][k]))
-    return tuple(out)
+                    prow = [u + w for u, w in zip(prow, bad)]
+        del prow[j]
+        for t, row in enumerate(rows):
+            v = row.pop(j)
+            if v:
+                q = v // p
+                rows[t] = [u - q * w for u, w in zip(row, prow)]
+        out.append(abs(p))
+    return tuple(out) + (0,) * (n - len(out))
 
 
 def smith_normal_form(m):

@@ -89,17 +89,18 @@ def build_matrix(g, kind, data=None):
             raise ConnectivityError(
                 f"matrix kind {kind.value!r} needs a connected graph"
             )
-    if base == "dist":
-        entries = data.dist
-    else:
-        entries = [[(r >> j) & 1 for j in range(n)] for r in g.rows]
     if diagonal is None:
         diag = (0,) * n
     else:
         diag = data.trs if diagonal == "trs" else g.degrees()
+    if base == "dist":
+        return [
+            [diag[i] if i == j else sign * v for j, v in enumerate(row)]
+            for i, row in enumerate(data.dist)
+        ]
     return [
-        [diag[i] if i == j else sign * v for j, v in enumerate(row)]
-        for i, row in enumerate(entries)
+        [diag[i] if i == j else sign * (r >> j & 1) for j in range(n)]
+        for i, r in enumerate(g.rows)
     ]
 
 

@@ -1,0 +1,133 @@
+"""Reference kernels for the tests: the division-free Berkowitz
+characteristic polynomial and the full-matrix min-|entry| Smith normal form
+that the library used before its faster kernels. The production kernels in
+cospec.intlinalg must give identical results."""
+
+
+def berkowitz_charpoly(m):
+    """Coefficients (ascending) of det(xI - m), via the division-free
+    Berkowitz recurrence on leading principal blocks."""
+    n = len(m)
+    c = [1, -m[0][0]]
+    for i in range(1, n):
+        mi = m[i]
+        row_left = mi[:i]
+        v = [m[j][i] for j in range(i)]
+        t = [1, -mi[i]]
+        s = 0
+        for j in range(i):
+            s += row_left[j] * v[j]
+        t.append(-s)
+        for _ in range(i - 1):
+            w = []
+            for r in range(i):
+                mr = m[r]
+                acc = 0
+                for j in range(i):
+                    acc += mr[j] * v[j]
+                w.append(acc)
+            v = w
+            s = 0
+            for j in range(i):
+                s += row_left[j] * v[j]
+            t.append(-s)
+        lc = len(c)
+        cn = []
+        for r in range(i + 2):
+            acc = 0
+            top = r if r < lc else lc - 1
+            for j in range(top + 1):
+                acc += t[r - j] * c[j]
+            cn.append(acc)
+        c = cn
+    return tuple(reversed(c))
+
+
+
+def reference_snf(m):
+    """Invariant factors of an integer matrix as a raw tuple.
+
+    Elimination picks the nonzero entry of minimum absolute value as pivot
+    at every stage, which keeps intermediate entries small.
+    """
+    n = len(m)
+    a = [row[:] for row in m]
+    out = []
+    for k in range(n):
+        piv_i = -1
+        piv_j = -1
+        best = 0
+        for i in range(k, n):
+            row = a[i]
+            for j in range(k, n):
+                v = row[j]
+                if v:
+                    av = -v if v < 0 else v
+                    if piv_i < 0 or av < best:
+                        best = av
+                        piv_i = i
+                        piv_j = j
+                        if av == 1:
+                            break
+            if best == 1 and piv_i >= 0:
+                break
+        if piv_i < 0:
+            out.extend([0] * (n - k))
+            break
+        if piv_i != k:
+            a[k], a[piv_i] = a[piv_i], a[k]
+        if piv_j != k:
+            for row in a:
+                row[k], row[piv_j] = row[piv_j], row[k]
+        while True:
+            rk = a[k]
+            p = rk[k]
+            dirty = False
+            for i in range(k + 1, n):
+                ri = a[i]
+                v = ri[k]
+                if v:
+                    q = v // p
+                    if q:
+                        for j in range(k, n):
+                            ri[j] -= q * rk[j]
+                    if ri[k]:
+                        # Euclid step: the remainder is strictly smaller,
+                        # promote it to pivot and start over.
+                        a[k], a[i] = a[i], a[k]
+                        dirty = True
+                        break
+            if dirty:
+                continue
+            for j in range(k + 1, n):
+                v = rk[j]
+                if v:
+                    q = v // p
+                    if q:
+                        for i in range(k, n):
+                            a[i][j] -= q * a[i][k]
+                    if rk[j]:
+                        for row in a:
+                            row[k], row[j] = row[j], row[k]
+                        dirty = True
+                        break
+            if dirty:
+                continue
+            # Row and column k are clear; enforce divisibility of the rest.
+            viol = -1
+            for i in range(k + 1, n):
+                ri = a[i]
+                for j in range(k + 1, n):
+                    if ri[j] % p:
+                        viol = i
+                        break
+                if viol >= 0:
+                    break
+            if viol < 0:
+                break
+            rv = a[viol]
+            for j in range(k, n):
+                rk[j] += rv[j]
+        out.append(abs(a[k][k]))
+    return tuple(out)
+

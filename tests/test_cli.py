@@ -1,3 +1,4 @@
+import io
 import json
 from collections import Counter
 
@@ -194,6 +195,18 @@ def test_non_ascii_byte_reports_line_number(tmp_path, capsys):
         capsys, "fingerprint", "--kind", "a", "--flavor", "spectral", "--input", str(src)
     )
     assert (code, out, err) == (1, "", want)
+
+
+def test_non_ascii_byte_on_stdin_reports_byte_value(monkeypatch, capsys):
+    # --input - decodes stdin's bytes by the same latin-1 rule as a file
+    stdin = io.TextIOWrapper(io.BytesIO(b"C~\nC\xe9\n"), encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", stdin)
+    code, out, err = run_cli(
+        capsys, "fingerprint", "--kind", "a", "--flavor", "spectral", "--input", "-"
+    )
+    want = "cospec: line 2: data byte 233 outside [63, 126] (byte offset 1)\n"
+    assert (code, out, err) == (1, "", want)
+    assert not stdin.buffer.closed
 
 
 def test_indented_header_and_crlf_agree_across_commands(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import random
 from itertools import permutations
 
 import pytest
@@ -85,13 +86,53 @@ def test_parse_rejects_nonzero_padding():
 
 
 def test_write_size_bound():
-    # Graph accepts up to 64 vertices, serialization stops at 63 (header
-    # byte range caps at 126)
-    with pytest.raises(UnsupportedSizeError):
-        write_graph6(empty(64))
-    line = write_graph6(empty(63))
-    assert line[0] == "~" and parse_graph6(line) == empty(63)
+    # the one-byte size stops at 62: header byte 126 ('~') starts the long
+    # form, which covers the rest of Graph's 64 vertices
+    assert write_graph6(empty(62))[0] == chr(62 + 63)
+    assert write_graph6(empty(63))[:4] == "~??~"
+    assert write_graph6(empty(64))[:4] == "~?@?"
     Graph(64, (0,) * 64)
+    with pytest.raises(ValueError):
+        Graph(65, (0,) * 65)
+
+
+def _random_graph(n, seed):
+    rng = random.Random(seed)
+    return from_edges(
+        n, [(u, v) for v in range(n) for u in range(v) if rng.random() < 0.5]
+    )
+
+
+@pytest.mark.parametrize("n", [62, 63, 64])
+def test_round_trip_long_form_boundary(n):
+    for g in (empty(n), complete(n), path(n), _random_graph(n, n)):
+        line = write_graph6(g)
+        assert len(line) == (1 if n <= 62 else 4) + (n * (n - 1) // 2 + 5) // 6
+        assert parse_graph6(line) == g
+
+
+def test_parse_rejects_bad_long_form_size():
+    body = write_graph6(empty(63))[4:]
+    for bad, offset in (
+        ("~??", 3),  # truncated size
+        ("~?" + chr(31) + "~" + body, 2),  # size byte out of range
+        ("~??}" + body, 1),  # 62 must use the one-byte form
+        ("~?A?" + body, 1),  # 65 vertices
+        ("~~??????" + body, 1),  # the 8-byte form, n >= 258048
+    ):
+        exc = pytest.raises(Graph6ParseError, parse_graph6, bad).value
+        assert f"byte offset {offset})" in str(exc)
+
+
+def test_long_form_agrees_with_networkx():
+    nx = pytest.importorskip("networkx")
+    for n in (62, 63, 64):
+        g = _random_graph(n, 100 + n)
+        line = write_graph6(g)
+        h = nx.from_graph6_bytes(line.encode("ascii"))
+        assert sorted(h.nodes) == list(range(n))
+        assert sorted(tuple(sorted(e)) for e in h.edges) == sorted(g.edges())
+        assert nx.to_graph6_bytes(h, header=False).rstrip(b"\n") == line.encode("ascii")
 
 
 def test_graph_validation():

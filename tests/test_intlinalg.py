@@ -5,8 +5,9 @@ from math import gcd, prod
 
 import pytest
 
-from cospec.errors import UnsupportedSizeError
-from cospec.graphs import complete, from_edges
+import cospec.intlinalg
+from cospec.errors import ConsistencyError, UnsupportedSizeError
+from cospec.graphs import complement, complete, connected_graph6_lines, from_edges, parse_graph6
 from cospec.intlinalg import (
     InvariantFactors,
     charpoly,
@@ -17,9 +18,11 @@ from cospec.intlinalg import (
     identity_matrix,
     ones_matrix,
     smith_normal_form,
+    snf_diagonal,
 )
-from cospec.matrices import MatrixKind, build_matrix
+from cospec.matrices import ALL_KINDS, MatrixKind, build_matrix
 from cospec.polynomials import peval
+from kernel_reference import berkowitz_charpoly, reference_snf
 
 ATRS_K13 = [[5, 0, 0, -1], [0, 5, 0, -1], [0, 0, 5, -1], [-1, -1, -1, 3]]
 
@@ -125,6 +128,67 @@ def test_charpoly_against_interpolation_oracle():
         n = rng.randint(1, 6)
         m = random_symmetric(rng, n)
         assert charpoly_coeffs(m) == _interpolated_charpoly(m)
+
+
+def _generator_matrices(max_n):
+    """Every matrix kind of every generated connected graph with n <= max_n
+    and of its complement, where the kind is defined."""
+    for n in range(1, max_n + 1):
+        for line in connected_graph6_lines(n):
+            g = parse_graph6(line)
+            for h in (g, complement(g)):
+                connected = h.is_connected()
+                for kind in ALL_KINDS:
+                    if connected or not kind.requires_connected:
+                        yield build_matrix(h, kind)
+
+
+def test_kernels_match_reference_on_generated_graphs():
+    count = 0
+    for m in _generator_matrices(7):
+        assert charpoly_coeffs(m) == berkowitz_charpoly(m)
+        assert snf_diagonal(m) == reference_snf(m)
+        count += 1
+    assert count == 18128
+
+
+def test_charpoly_matches_reference_on_large_entries():
+    rng = random.Random(9)
+    for _ in range(60):
+        n = rng.randint(1, 12)
+        bound = rng.choice((1, 10, 10**3, 10**6))
+        m = random_symmetric(rng, n, -bound, bound)
+        assert charpoly_coeffs(m) == berkowitz_charpoly(m)
+
+
+def test_charpoly_rejects_non_symmetric():
+    with pytest.raises(ValueError):
+        charpoly_coeffs([[0, 1], [0, 0]])
+    with pytest.raises(ValueError):
+        cof_polynomial([[1, 2, 3], [2, 1, 0], [3, 1, 1]])
+
+
+def test_charpoly_decode_check(monkeypatch):
+    # a digit size too small for the coefficients must not decode silently
+    monkeypatch.setattr(cospec.intlinalg, "isqrt", lambda v: 0)
+    with pytest.raises(ConsistencyError):
+        charpoly_coeffs([[100]])
+
+
+def test_kernels_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    rng = random.Random(10)
+    for _ in range(25):
+        n = rng.randint(1, 6)
+        m = random_symmetric(rng, n, -9, 9)
+        x = sympy.Symbol("x")
+        want = sympy.Poly(sympy.Matrix(m).charpoly(x).as_expr(), x).all_coeffs()
+        assert charpoly_coeffs(m) == tuple(int(c) for c in reversed(want))
+        d = sympy_snf(sympy.Matrix(m), domain=sympy.ZZ)
+        got = InvariantFactors(snf_diagonal(m)).d  # validates the divisor chain
+        assert sorted(got) == sorted(abs(int(d[i, i])) for i in range(n))
 
 
 # ---------------------------------------------------------------------------
