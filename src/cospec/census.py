@@ -2,18 +2,21 @@
 
 Graphs are bucketed by exact fingerprint byte keys; a graph "has a mate"
 when its bucket holds at least two graphs, so with_mate is the sum of the
-sizes of all buckets of size >= 2. Buckets store counts plus one
-representative line number, never whole graphs, and merging count maps is
-commutative, so results do not depend on input order or worker count.
+sizes of all buckets of size >= 2. Buckets store counts only, never whole
+graphs or line numbers, and merging count maps is commutative, so results
+do not depend on input order or worker count.
 """
 
 from __future__ import annotations
 
 import os
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import partial
+from itertools import islice
 from multiprocessing import Pool
 
 from .errors import CensusInputError, ConsistencyError, Graph6ParseError, UnsupportedSizeError
@@ -26,9 +29,12 @@ from .graphs import (
     distance_data,
     parse_graph6,
 )
+# cof_coeffs stays a census attribute for tools that patch the block
+# functions here, though the sweep builds the cof block from its charpoly
 from .intlinalg import charpoly_coeffs, cof_coeffs, snf_diagonal
 from .invariants import Flavor, compose_key
 from .matrices import MatrixKind, build_matrix
+from .polynomials import psub
 
 
 class Domain(Enum):
@@ -101,12 +107,11 @@ class CensusRow:
 
 @dataclass
 class TaskCensus:
-    """Raw bucket data for one (kind, flavor, domain) stream."""
+    """Bucket counts for one (kind, flavor, domain) stream."""
 
     task: CensusTask
     domain_size: int
     buckets: Counter
-    first_line: dict
 
     @property
     def with_mate(self):
@@ -115,15 +120,6 @@ class TaskCensus:
 
 # ---------------------------------------------------------------------------
 # per-graph fingerprint computation shared by all tasks of a sweep
-
-_WORK_N = None
-_WORK_TASKS = None
-
-
-def _init_worker(n, tasks):
-    global _WORK_N, _WORK_TASKS
-    _WORK_N = n
-    _WORK_TASKS = tasks
 
 
 class _Parts:
@@ -136,7 +132,7 @@ class _Parts:
 
     def __init__(self, sides, ops):
         self.sides = sides  # ((g, dd), (cg, cdd))
-        self.ops = ops  # op -> function of the matrix
+        self.ops = ops  # op -> function of the matrix, except "cof"
         self.mats = {}
         self.memo = {}
 
@@ -148,7 +144,14 @@ class _Parts:
             if m is None:
                 g, data = self.sides[side]
                 m = self.mats[kind, side] = build_matrix(g, kind, data=data)
-            ints = self.memo[key] = self.ops[op](m)
+            if op == "cof":
+                # cof_coeffs(m) = charpoly(m - J) - charpoly(m), with the
+                # charpoly of m taken from its own block
+                shifted = [[v - 1 for v in row] for row in m]
+                ints = psub(self.ops["charpoly"](shifted), self.block("charpoly", kind, side))
+            else:
+                ints = self.ops[op](m)
+            self.memo[key] = ints
         return ints
 
 
@@ -182,12 +185,11 @@ def _graph_task_keys(n, tasks, ops, lineno, line):
     return member, out
 
 
-def _sweep_chunk(chunk):
-    n, tasks = _WORK_N, _WORK_TASKS
+def _sweep_chunk(n, tasks, chunk):
+    """Domain sizes and per-task key counts of one chunk of (lineno, line)."""
     # read from the module at call time, so that patched attributes apply
-    ops = {"charpoly": charpoly_coeffs, "cof": cof_coeffs, "snf": snf_diagonal}
+    ops = {"charpoly": charpoly_coeffs, "snf": snf_diagonal}
     counters = [Counter() for _ in tasks]
-    firsts = [{} for _ in tasks]
     sizes = {d: 0 for d in Domain}
     for lineno, line in chunk:
         res = _graph_task_keys(n, tasks, ops, lineno, line)
@@ -199,10 +201,7 @@ def _sweep_chunk(chunk):
                 sizes[d] += 1
         for ti, key in keys:
             counters[ti][key] += 1
-            first = firsts[ti]
-            if key not in first or lineno < first[key]:
-                first[key] = lineno
-    return sizes, counters, firsts
+    return sizes, counters
 
 
 def default_jobs():
@@ -216,35 +215,32 @@ def default_jobs():
 
 
 def sweep(n, tasks, lines, jobs=None):
-    """Run every task over the lines in one pass.
+    """Run every task over a sequence of graph6 lines in one pass.
 
     Returns (list of TaskCensus aligned with tasks, domain size dict).
     """
     tasks = list(tasks)
-    numbered = list(_data_lines(lines))
     if jobs is None:
         jobs = default_jobs()
     if jobs > 1:
-        chunk_size = max(1, min(250, (len(numbered) + 2 * jobs - 1) // (2 * jobs)))
+        chunk_size = max(1, min(250, (len(lines) + 2 * jobs - 1) // (2 * jobs)))
     else:
         chunk_size = 250
-    chunks = [
-        numbered[i : i + chunk_size] for i in range(0, len(numbered), chunk_size)
-    ]
-    results = [TaskCensus(t, 0, Counter(), {}) for t in tasks]
+    numbered = _data_lines(lines)
+    chunks = iter(lambda: list(islice(numbered, chunk_size)), [])
+    work = partial(_sweep_chunk, n, tasks)
+    buckets = [Counter() for _ in tasks]
     sizes = {d: 0 for d in Domain}
-    if jobs > 1 and len(chunks) > 1:
-        with Pool(jobs, initializer=_init_worker, initargs=(n, tasks)) as pool:
-            parts = pool.imap_unordered(_sweep_chunk, chunks)
-            for chunk_sizes, counters, firsts in parts:
-                _merge(results, sizes, chunk_sizes, counters, firsts)
-    else:
-        _init_worker(n, tasks)
-        for chunk in chunks:
-            chunk_sizes, counters, firsts = _sweep_chunk(chunk)
-            _merge(results, sizes, chunk_sizes, counters, firsts)
+    with Pool(jobs) if jobs > 1 and len(lines) > chunk_size else nullcontext() as pool:
+        for chunk_sizes, counters in (
+            pool.imap_unordered(work, chunks) if pool else map(work, chunks)
+        ):
+            for d, v in chunk_sizes.items():
+                sizes[d] += v
+            for total, counter in zip(buckets, counters):
+                total.update(counter)
+    results = [TaskCensus(t, sizes[t.domain], b) for t, b in zip(tasks, buckets)]
     for res in results:
-        res.domain_size = sizes[res.task.domain]
         bucketed = sum(res.buckets.values())
         if bucketed != res.domain_size:
             raise ConsistencyError(
@@ -252,17 +248,6 @@ def sweep(n, tasks, lines, jobs=None):
                 f"{bucketed} graphs, domain {res.task.domain.value} has {res.domain_size}"
             )
     return results, sizes
-
-
-def _merge(results, sizes, chunk_sizes, counters, firsts):
-    for d, v in chunk_sizes.items():
-        sizes[d] += v
-    for res, counter, first in zip(results, counters, firsts):
-        res.buckets.update(counter)
-        rf = res.first_line
-        for key, lineno in first.items():
-            if key not in rf or lineno < rf[key]:
-                rf[key] = lineno
 
 
 def source_lines(spec):
@@ -427,27 +412,24 @@ def diff_paper(max_n=8, sources=None, jobs=None):
     for cell in cells:
         if cell.n <= GENERATOR_MAX_N or cell.n in sources:
             by_n.setdefault(cell.n, []).append(cell)
+    for n in by_n.keys() & sources.keys():
+        open(sources[n], "rb").close()  # fail now, not after the smaller n
     out = []
     for n in sorted(by_n):
         group = by_n[n]
-        task_index = {}
-        tasks = []
-        for cell in group:
-            if cell.row == "domain-size":
-                continue
-            task = CensusTask(cell.kind, cell.flavor, cell.domain)
-            if task not in task_index:
-                task_index[task] = len(tasks)
-                tasks.append(task)
+        tasks = dict.fromkeys(
+            CensusTask(c.kind, c.flavor, c.domain) for c in group if c.row != "domain-size"
+        )
         if n in sources:
             lines = _read_lines(sources[n])
         else:
             lines = connected_graph6_lines(n)
         results, sizes = sweep(n, tasks, lines, jobs=jobs)
+        by_task = dict(zip(tasks, results))
         for cell in group:
             if cell.row == "domain-size":
                 actual = sizes[cell.domain]
             else:
-                actual = results[task_index[CensusTask(cell.kind, cell.flavor, cell.domain)]].with_mate
+                actual = by_task[CensusTask(cell.kind, cell.flavor, cell.domain)].with_mate
             out.append(DiffResult(cell, actual, actual == cell.value))
     return out

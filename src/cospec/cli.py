@@ -4,9 +4,9 @@ Every subcommand is a thin adapter over the library: it parses tokens,
 calls the corresponding function, and prints its serialized value, so the
 output is byte-identical to serializing the library call directly.
 
-Exit codes: 0 success, 1 domain/input errors (one-line diagnostic on
-stderr), 2 usage errors. diff-paper exits 1 when any expected cell
-mismatches.
+Exit codes: 0 success, 1 domain/input errors and unreadable files
+(one-line diagnostic on stderr), 2 usage errors. diff-paper exits 1 when
+any expected cell mismatches.
 """
 
 from __future__ import annotations
@@ -200,7 +200,7 @@ def _cmd_diff_paper(args, parser):
     sources = {}
     for item in args.graphs or []:
         n_text, _, pathname = item.partition("=")
-        if not pathname:
+        if not pathname or not n_text.strip().isdecimal():
             parser.error("--graphs expects N=FILE")
         sources[int(n_text)] = pathname
     results = diff_paper(max_n=args.max_n, sources=sources, jobs=args.jobs)
@@ -316,6 +316,10 @@ def main(argv=None):
         return 1
     except ValueError as exc:
         print(f"cospec: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        where = "" if exc.filename is None else f"{exc.filename}: "
+        print(f"cospec: {where}{exc.strerror or exc}", file=sys.stderr)
         return 1
 
 

@@ -108,19 +108,13 @@ def complement_shift(kind, n):
     """Shift parameters (x, y) taking M(G) to M(complement of G)."""
     if n < 2:
         raise ValueError(f"complement shift needs n >= 2 (got {n})")
-    table = {
-        MatrixKind.ADJACENCY: (-1, 1),
-        MatrixKind.LAPLACIAN: (n, -1),
-        MatrixKind.SIGNLESS_LAPLACIAN: (n - 2, 1),
-        MatrixKind.DISTANCE: (-3, 3),
-        MatrixKind.DISTANCE_LAPLACIAN: (3 * n, -3),
-        MatrixKind.SIGNLESS_DISTANCE_LAPLACIAN: (3 * n - 6, 3),
-        MatrixKind.TRANSMISSION_ADJACENCY: (3 * n - 2, -1),
-        MatrixKind.SIGNLESS_TRANSMISSION_ADJACENCY: (3 * n - 4, 1),
-        MatrixKind.DEGREE_DISTANCE: (n + 2, -3),
-        MatrixKind.SIGNLESS_DEGREE_DISTANCE: (n - 4, 3),
-    }
-    return ShiftParams(*table[kind])
+    diagonal, sign, base = _FORMULAS[kind]
+    # Complementing maps A to J - I - A, and D to 3(J - I) - D when G and
+    # its complement have diameter <= 2 (distances 1 and 2 swap); degrees
+    # become n - 1 - deg and transmissions 3(n - 1) - trs.
+    c = {None: 0, "deg": n - 1, "trs": 3 * (n - 1)}[diagonal]
+    k = 1 if base == "adj" else 3
+    return ShiftParams(c - sign * k, sign * k)
 
 
 def apply_shift(m, x, y):

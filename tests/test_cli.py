@@ -169,6 +169,30 @@ def test_diff_paper_cli(capsys):
     assert lines[-1].endswith("0 mismatches")
 
 
+def test_diff_paper_graphs_needs_integer_n(capsys):
+    for item in ("x=graphs9.g6", "9"):
+        with pytest.raises(SystemExit) as exc:
+            main(["diff-paper", "--graphs", item])
+        assert exc.value.code == 2
+        assert "--graphs expects N=FILE" in capsys.readouterr().err
+
+
+def test_unreadable_input_is_one_line_error(tmp_path, capsys):
+    missing = tmp_path / "missing.g6"
+    census = ("census", "--n", "4", "--domain", "connected", "--kind", "a", "--flavor", "spectral")
+    fingerprint = ("fingerprint", "--kind", "a", "--flavor", "spectral")
+    for argv, path, reason in [
+        (census + ("--input", str(missing)), missing, "No such file or directory"),
+        (fingerprint + ("--input", str(missing)), missing, "No such file or directory"),
+        (fingerprint + ("--input", str(tmp_path)), tmp_path, "Is a directory"),
+        (("snf", "--kind", "a", "--input", str(tmp_path)), tmp_path, "Is a directory"),
+        (("diff-paper", "--max-n", "9", "--graphs", f"9={missing}"), missing,
+         "No such file or directory"),
+    ]:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (1, "", f"cospec: {path}: {reason}\n")
+
+
 def test_bad_cospec_jobs_is_one_line_error(capsys, monkeypatch):
     monkeypatch.setenv("COSPEC_JOBS", "abc")
     code, out, err = run_cli(
