@@ -32,9 +32,8 @@ from .graphs import (
 # cof_coeffs stays a census attribute for tools that patch the block
 # functions here, though the sweep builds the cof block from its charpoly
 from .intlinalg import charpoly_coeffs, cof_coeffs, snf_diagonal
-from .invariants import Flavor, compose_key
+from .invariants import Flavor, _Blocks, compose_key
 from .matrices import MatrixKind, build_matrix
-from .polynomials import psub
 
 
 class Domain(Enum):
@@ -122,40 +121,7 @@ class TaskCensus:
 # per-graph fingerprint computation shared by all tasks of a sweep
 
 
-class _Parts:
-    """Lazy per-graph cache: the matrices of the graph (side 0) and of its
-    complement (side 1) by (kind, side), and the fingerprint blocks computed
-    from them by (op, kind, side), so tasks that share a block compute it
-    once."""
-
-    __slots__ = ("sides", "ops", "mats", "memo")
-
-    def __init__(self, sides, ops):
-        self.sides = sides  # ((g, dd), (cg, cdd))
-        self.ops = ops  # op -> function of the matrix, except "cof"
-        self.mats = {}
-        self.memo = {}
-
-    def block(self, op, kind, side):
-        key = (op, kind, side)
-        ints = self.memo.get(key)
-        if ints is None:
-            m = self.mats.get((kind, side))
-            if m is None:
-                g, data = self.sides[side]
-                m = self.mats[kind, side] = build_matrix(g, kind, data=data)
-            if op == "cof":
-                # cof_coeffs(m) = charpoly(m - J) - charpoly(m), with the
-                # charpoly of m taken from its own block
-                shifted = [[v - 1 for v in row] for row in m]
-                ints = psub(self.ops["charpoly"](shifted), self.block("charpoly", kind, side))
-            else:
-                ints = self.ops[op](m)
-            self.memo[key] = ints
-        return ints
-
-
-def _graph_task_keys(n, tasks, ops, lineno, line):
+def _graph_task_keys(n, tasks, fns, lineno, line):
     """(task_index, key) pairs plus domain membership flags for one line."""
     try:
         g = parse_graph6(line)
@@ -175,24 +141,24 @@ def _graph_task_keys(n, tasks, ops, lineno, line):
         and dd.diameter == 2
         and cdd.diameter == 2,
     }
-    parts = _Parts(((g, dd), (cg, cdd)), ops)
+    blocks = _Blocks(((g, dd), (cg, cdd)), *fns)
     out = []
     for ti, task in enumerate(tasks):
         if member[task.domain]:
             kind = task.kind
-            blocks = [parts.block(op, kind, side) for op, side in task.flavor.components]
-            out.append((ti, compose_key(kind, task.flavor, blocks)))
+            ints = [blocks.block(op, kind, side) for op, side in task.flavor.components]
+            out.append((ti, compose_key(kind, task.flavor, ints)))
     return member, out
 
 
 def _sweep_chunk(n, tasks, chunk):
     """Domain sizes and per-task key counts of one chunk of (lineno, line)."""
     # read from the module at call time, so that patched attributes apply
-    ops = {"charpoly": charpoly_coeffs, "snf": snf_diagonal}
+    fns = (build_matrix, charpoly_coeffs, snf_diagonal)
     counters = [Counter() for _ in tasks]
     sizes = {d: 0 for d in Domain}
     for lineno, line in chunk:
-        res = _graph_task_keys(n, tasks, ops, lineno, line)
+        res = _graph_task_keys(n, tasks, fns, lineno, line)
         if res is None:
             continue
         member, keys = res

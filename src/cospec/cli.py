@@ -80,6 +80,11 @@ def _flavor(token):
     return Flavor.from_token(token)
 
 
+def _source_lines(source):
+    """The lines of a graph6 file, or of stdin for -."""
+    return _decode_lines(sys.stdin.buffer) if source == "-" else _read_lines(source)
+
+
 def _input_graphs(args, parser):
     literal = getattr(args, "graph", None)
     source = getattr(args, "input", None)
@@ -88,8 +93,7 @@ def _input_graphs(args, parser):
     if literal is not None:
         return [(None, parse_graph6(literal))]
     if source:
-        lines = _decode_lines(sys.stdin.buffer) if source == "-" else _read_lines(source)
-        return list(iter_graph6_lines(lines))
+        return list(iter_graph6_lines(_source_lines(source)))
     parser.error("a graph6 literal or --input FILE is required")
 
 
@@ -99,19 +103,9 @@ def _cmd_matrix(args, parser):
     return 0
 
 
-def _cmd_charpoly(args, parser):
+def _cmd_polynomial(args, parser):
     for _, g in _input_graphs(args, parser):
-        p = charpoly(build_matrix(g, args.kind))
-        if args.format == "json":
-            print(json.dumps({"coeffs": list(p.coeffs)}))
-        else:
-            print(str(p))
-    return 0
-
-
-def _cmd_cof(args, parser):
-    for _, g in _input_graphs(args, parser):
-        p = cof_polynomial(build_matrix(g, args.kind))
+        p = args.polynomial(build_matrix(g, args.kind))
         if args.format == "json":
             print(json.dumps({"coeffs": list(p.coeffs)}))
         else:
@@ -181,7 +175,8 @@ def _cmd_census(args, parser):
         flavor=args.flavor,
         source=args.input,
     )
-    rows = run_census(spec, jobs=args.jobs)
+    lines = _source_lines(args.input) if args.input else None
+    rows = run_census(spec, lines=lines, jobs=args.jobs)
     if args.format == "json":
         print(census_rows_to_json(rows))
     elif args.format == "text":
@@ -239,13 +234,13 @@ def build_parser():
     p.add_argument("--kind", type=_kind, required=True)
     p.add_argument("--format", choices=("text", "json"), default="text")
     add_graph_input(p)
-    p.set_defaults(func=_cmd_charpoly)
+    p.set_defaults(func=_cmd_polynomial, polynomial=charpoly)
 
     p = sub.add_parser("cof", help="cofactor-sum polynomial of xI - M")
     p.add_argument("--kind", type=_kind, required=True)
     p.add_argument("--format", choices=("text", "json"), default="text")
     add_graph_input(p)
-    p.set_defaults(func=_cmd_cof)
+    p.set_defaults(func=_cmd_polynomial, polynomial=cof_polynomial)
 
     p = sub.add_parser("snf", help="Smith normal form invariant factors")
     p.add_argument("--kind", type=_kind, required=True)
@@ -291,7 +286,9 @@ def build_parser():
     p.add_argument("--domain", required=True)
     p.add_argument("--kind", action="append", required=True, help="repeatable, comma-separable")
     p.add_argument("--flavor", type=_flavor, required=True)
-    p.add_argument("--input", help="graph6 file (default: bundled generator)")
+    p.add_argument(
+        "--input", help="graph6 file, or - for stdin (default: bundled generator)"
+    )
     p.add_argument("--format", choices=("csv", "json", "text"), default="csv")
     p.add_argument("--jobs", type=int, default=None)
     p.set_defaults(func=_cmd_census)

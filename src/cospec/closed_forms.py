@@ -70,14 +70,9 @@ def _check_tree_size(t):
         )
 
 
-def _matching_items(g):
-    return list(g.edges()), list(range(g.n))
-
-
 def _enumerate_two_matchings(g, visit):
     """DFS over all 2-matchings of the looped tree; visit(edges, loops)."""
-    edges, loopable = _matching_items(g)
-    items = [("e", e) for e in edges] + [("l", v) for v in loopable]
+    items = [("e", e) for e in g.edges()] + [("l", v) for v in range(g.n)]
     inc = [0] * g.n
     chosen_e = []
     chosen_l = []

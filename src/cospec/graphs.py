@@ -55,9 +55,6 @@ class Graph:
     def has_edge(self, u, v):
         return bool((self.rows[u] >> v) & 1)
 
-    def degree(self, v):
-        return bin(self.rows[v]).count("1")
-
     def degrees(self):
         return tuple(bin(r).count("1") for r in self.rows)
 

@@ -22,14 +22,9 @@ from enum import Enum
 
 from .errors import ConnectivityError
 from .graphs import complement, distance_data
-from .intlinalg import (
-    charpoly_coeffs,
-    cof_coeffs,
-    determinantal_gcds_Qx,
-    snf_diagonal,
-)
+from .intlinalg import charpoly_coeffs, determinantal_gcds_Qx, snf_diagonal
 from .matrices import build_matrix
-from .polynomials import pstr
+from .polynomials import pstr, psub
 
 
 class Flavor(Enum):
@@ -74,12 +69,52 @@ def _factors(ints):
     return " ".join(str(v) for v in ints)
 
 
-# op -> (function of the matrix, description label, rendering of its result)
+# op -> (description label, rendering of its result)
 _OPS = {
-    "charpoly": (charpoly_coeffs, "charpoly", pstr),
-    "cof": (cof_coeffs, "cof polynomial", pstr),
-    "snf": (snf_diagonal, "invariant factors", _factors),
+    "charpoly": ("charpoly", pstr),
+    "cof": ("cof polynomial", pstr),
+    "snf": ("invariant factors", _factors),
 }
+
+
+class _Blocks:
+    """Lazy per-graph memo, the one map from a graph's sides to fingerprint
+    blocks. Side 0 is the graph and side 1 its complement, each given as
+    (graph, DistanceData). Each matrix is built once per (kind, side) and
+    each block computed once per (op, kind, side), so blocks shared by
+    several (kind, flavor) keys are computed once. The caller passes the
+    matrix, charpoly and SNF functions, and so chooses the names they are
+    called through."""
+
+    __slots__ = ("sides", "build", "charpoly", "snf", "mats", "memo")
+
+    def __init__(self, sides, build, charpoly, snf):
+        self.sides = sides
+        self.build = build
+        self.charpoly = charpoly
+        self.snf = snf
+        self.mats = {}
+        self.memo = {}
+
+    def block(self, op, kind, side):
+        key = (op, kind, side)
+        ints = self.memo.get(key)
+        if ints is None:
+            m = self.mats.get((kind, side))
+            if m is None:
+                g, data = self.sides[side]
+                m = self.mats[kind, side] = self.build(g, kind, data=data)
+            if op == "snf":
+                ints = self.snf(m)
+            elif op == "charpoly":
+                ints = self.charpoly(m)
+            else:
+                # cof_coeffs(m) = charpoly(m - J) - charpoly(m), with the
+                # charpoly of m taken from its own block
+                shifted = [[v - 1 for v in row] for row in m]
+                ints = psub(self.charpoly(shifted), self.block("charpoly", kind, side))
+            self.memo[key] = ints
+        return ints
 
 
 def _block(ints):
@@ -105,7 +140,7 @@ def fingerprint_blocks(g, kind, flavor):
         raise ConnectivityError(
             f"kind {kind.value!r} needs a connected graph"
         )
-    mats = [build_matrix(g, kind, data=data)]
+    sides = [(g, data)]
     if flavor.uses_complement:
         cg = complement(g)
         cdata = distance_data(cg)
@@ -113,8 +148,9 @@ def fingerprint_blocks(g, kind, flavor):
             raise ConnectivityError(
                 f"generalized {kind.value!r} fingerprints need a connected complement"
             )
-        mats.append(build_matrix(cg, kind, data=cdata))
-    return [_OPS[op][0](mats[side]) for op, side in flavor.components]
+        sides.append((cg, cdata))
+    blocks = _Blocks(sides, build_matrix, charpoly_coeffs, snf_diagonal)
+    return [blocks.block(op, kind, side) for op, side in flavor.components]
 
 
 def fingerprint(g, kind, flavor):
@@ -126,7 +162,7 @@ def describe_fingerprint(g, kind, flavor):
     """Human-readable rendering of what the fingerprint encodes."""
     rendered = []
     for (op, side), ints in zip(flavor.components, fingerprint_blocks(g, kind, flavor)):
-        _, label, render = _OPS[op]
+        label, render = _OPS[op]
         if side:
             label += " of complement"
         rendered.append(f"{label}: {render(ints)}")

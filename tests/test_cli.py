@@ -135,6 +135,20 @@ def test_census_from_stdin_file(tmp_path, capsys):
     assert code == 0 and out.endswith("q,gen-spectral,5,21,2,2/21\n")
 
 
+def test_census_input_dash_reads_stdin(tmp_path, monkeypatch, capsys):
+    # census --input - gives the same CSV as the same lines in a file
+    data = ("\n".join(connected_graph6_lines(5)) + "\n").encode("ascii")
+    src = tmp_path / "g5.g6"
+    src.write_bytes(data)
+    argv = ["census", "--n", "5", "--domain", "connected", "--kind", "a,q",
+            "--flavor", "gen-spectral", "--input"]
+    from_file = run_cli(capsys, *argv, str(src))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="ascii"))
+    from_stdin = run_cli(capsys, *argv, "-")
+    assert from_stdin == from_file
+    assert from_file[0] == 0 and from_file[1].endswith("q,gen-spectral,5,21,2,2/21\n")
+
+
 def test_batch_input_file(tmp_path, capsys):
     src = tmp_path / "graphs.g6"
     src.write_text(">>graph6<<\nA_\nBw\n", encoding="ascii")

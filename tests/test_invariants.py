@@ -99,6 +99,25 @@ def test_describe_fingerprint():
     assert "1 0" in text
 
 
+def test_r_spectral_fingerprint_reuses_the_charpoly_block(monkeypatch):
+    # the cof block is charpoly(A - J) minus the charpoly block of A, so one
+    # r-spectral fingerprint computes two charpolys, not three
+    import cospec.invariants as invariants
+
+    calls = []
+    real = invariants.charpoly_coeffs
+
+    def counted(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(invariants, "charpoly_coeffs", counted)
+    key = fingerprint(path(4), K.ADJACENCY, F.R_SPECTRAL)
+    assert len(calls) == 2
+    monkeypatch.undo()
+    assert key == fingerprint(path(4), K.ADJACENCY, F.R_SPECTRAL)
+
+
 def test_cokernel_examples():
     got = cokernel_group(complete(3), K.LAPLACIAN)
     assert got.torsion == (3,) and got.free_rank == 1
