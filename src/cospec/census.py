@@ -80,7 +80,7 @@ class CensusSpec:
     domain: Domain
     kinds: tuple
     flavor: Flavor
-    source: str = None  # path of a graph6 file; None = bundled generator
+    source: str = None  # graph6 file path, '-' = stdin; None = bundled generator
 
     def __post_init__(self):
         object.__setattr__(self, "kinds", tuple(self.kinds))

@@ -18,7 +18,7 @@ import sys
 from .census import CensusSpec, Domain, diff_paper, run_census
 from .closed_forms import TreeData, multipartite_snf, star_snf, tree_snf
 from .errors import CospecError
-from .graphs import _decode_lines, _read_lines, iter_graph6_lines, parse_graph6
+from .graphs import _read_lines, iter_graph6_lines, parse_graph6
 from .intlinalg import charpoly, cof_polynomial, smith_normal_form
 from .invariants import (
     Flavor,
@@ -80,11 +80,6 @@ def _flavor(token):
     return Flavor.from_token(token)
 
 
-def _source_lines(source):
-    """The lines of a graph6 file, or of stdin for -."""
-    return _decode_lines(sys.stdin.buffer) if source == "-" else _read_lines(source)
-
-
 def _input_graphs(args, parser):
     literal = getattr(args, "graph", None)
     source = getattr(args, "input", None)
@@ -93,7 +88,7 @@ def _input_graphs(args, parser):
     if literal is not None:
         return [(None, parse_graph6(literal))]
     if source:
-        return list(iter_graph6_lines(_source_lines(source)))
+        return list(iter_graph6_lines(_read_lines(source)))
     parser.error("a graph6 literal or --input FILE is required")
 
 
@@ -175,8 +170,7 @@ def _cmd_census(args, parser):
         flavor=args.flavor,
         source=args.input,
     )
-    lines = _source_lines(args.input) if args.input else None
-    rows = run_census(spec, lines=lines, jobs=args.jobs)
+    rows = run_census(spec, jobs=args.jobs)
     if args.format == "json":
         print(census_rows_to_json(rows))
     elif args.format == "text":

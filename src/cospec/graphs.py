@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import string
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -19,7 +20,7 @@ from .errors import Graph6ParseError, UnsupportedSizeError
 MAX_VERTICES = 64  # representable
 MAX_SHORT_GRAPH6_VERTICES = 62  # one size byte; header 126 starts the long form
 CANONICAL_MAX_N = 8
-GENERATOR_MAX_N = 8
+GENERATOR_MAX_N = 9
 TREE_MAX_N = 12
 
 UNREACHABLE = -1
@@ -272,7 +273,10 @@ def _data_lines(lines):
 
 
 def _read_lines(pathname):
-    """All lines of a graph6 file, without their line ends."""
+    """All lines of a graph6 file, or of stdin for '-', without their line
+    ends."""
+    if pathname == "-":
+        return _decode_lines(sys.stdin.buffer)
     with open(pathname, "rb") as handle:
         return _decode_lines(handle)
 
@@ -372,50 +376,73 @@ def _is_twin(rows, u, v):
     return (rows[u] & mask) == (rows[v] & mask)
 
 
+def _twin_classes(n, rows):
+    """twins[v] is the bitset of vertices twin to v, v included.
+
+    Being twins is an equivalence relation, and swapping two twins is an
+    automorphism, so permuting a class is one too.
+    """
+    twins = [0] * n
+    for v in range(n):
+        if not twins[v]:
+            cls = 1 << v
+            for w in range(v + 1, n):
+                if _is_twin(rows, v, w):
+                    cls |= 1 << w
+            rest = cls
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                twins[low.bit_length() - 1] = cls
+    return twins
+
+
 def _canonical_columns(n, rows):
     """Column codes of the lexicographically minimal graph6 labeling.
 
     Greedy level search: the minimal bit stream must route through a
     minimal column at every position, so only tied extensions survive.
-    Twin vertices (swappable by a transposition automorphism) are explored
-    once per frontier entry.
+    The vertices giving a partial labeling its least next column are found
+    as a bitset, one neighbourhood test per labeled vertex, most
+    significant bit first. Twin vertices (swappable by a transposition
+    automorphism) are explored once per frontier entry.
     """
-    first = []
-    for v in range(n):
-        if not any(_is_twin(rows, v, w) for w in first):
-            first.append(v)
-    partials = [(v,) for v in first]
+    full = (1 << n) - 1
+    twins = _twin_classes(n, rows)
+    partials = []
+    s = full
+    while s:
+        v = (s & -s).bit_length() - 1
+        partials.append(((v,), 1 << v))
+        s &= ~twins[v]
     cols = []
-    for _ in range(1, n):
+    for level in range(1, n):
         best = None
         chosen = []
-        for p in partials:
-            used = 0
+        for p, used in partials:
+            s = full ^ used
+            c = 0
             for u in p:
-                used |= 1 << u
-            for v in range(n):
-                if (used >> v) & 1:
-                    continue
-                c = 0
-                for u in p:
-                    c = (c << 1) | ((rows[u] >> v) & 1)
-                if best is None or c < best:
-                    best = c
-                    chosen = [(p, [v])]
-                elif c == best:
-                    if chosen[-1][0] is p:
-                        chosen[-1][1].append(v)
-                    else:
-                        chosen.append((p, [v]))
+                t = s & ~rows[u]
+                if t:
+                    s = t
+                    c <<= 1
+                else:
+                    c = (c << 1) | 1
+            if best is None or c < best:
+                best = c
+                chosen = [(p, used, s)]
+            elif c == best:
+                chosen.append((p, used, s))
         cols.append(best)
+        if level == n - 1:
+            break
         partials = []
-        for p, vs in chosen:
-            kept = []
-            for v in vs:
-                if any(_is_twin(rows, v, w) for w in kept):
-                    continue
-                kept.append(v)
-                partials.append(p + (v,))
+        for p, used, s in chosen:
+            while s:
+                v = (s & -s).bit_length() - 1
+                partials.append((p + (v,), used | (1 << v)))
+                s &= ~twins[v]
     return cols
 
 
@@ -443,33 +470,100 @@ def canonical_key(g):
 # generators
 
 
+def _sorted_masks(n, rows):
+    """One nonzero neighbourhood mask per orbit of the twin-class
+    symmetries of a graph.
+
+    Permuting a class of twins is an automorphism; the kept masks are those
+    whose bits inside each class form a prefix of the class in vertex order.
+    """
+    masks = [0]
+    for v, cls in enumerate(_twin_classes(n, rows)):
+        if cls & -cls == 1 << v:  # v is the first vertex of its class
+            prefixes = [0]
+            while cls:
+                low = cls & -cls
+                cls ^= low
+                prefixes.append(prefixes[-1] | low)
+            masks = [a | p for a in masks for p in prefixes]
+    return masks[1:]  # masks[0] is the empty neighbourhood
+
+
+def _is_cut_vertex(n, rows, v):
+    """Whether deleting v disconnects the connected graph rows."""
+    rest = ((1 << n) - 1) ^ (1 << v)
+    seen = frontier = rest & -rest
+    while frontier:
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            nxt |= rows[low.bit_length() - 1]
+        frontier = nxt & rest & ~seen
+        seen |= frontier
+    return seen != rest
+
+
+def _neighbour_degrees(deg, row):
+    return sorted(d for u, d in enumerate(deg) if (row >> u) & 1)
+
+
 @lru_cache(maxsize=None)
 def connected_graph6_lines(n):
     """Canonical graph6 lines, sorted, one per isomorphism class of
-    connected graphs on n vertices. Built by vertex extension."""
+    connected graphs on n vertices.
+
+    Built by vertex extension: every connected graph on n - 1 vertices gets
+    a new vertex m = n - 1 with each nonzero neighbourhood mask, and the
+    set of canonical forms dedups the results. Two exact prunes skip most
+    canonical forms. Masks in one orbit of the parent's twin-class
+    symmetries give isomorphic graphs, so one mask per orbit is tried
+    (_sorted_masks). And with inv(v) = (degree, sorted neighbour degrees),
+    an extension is kept only if no non-cut vertex has a smaller inv than
+    m: every connected graph has a non-cut vertex of least inv among its
+    non-cut vertices, and deleting it leaves a connected parent whose
+    extension by that vertex is kept.
+    """
     if n == 1:
         return ("@",)
     prev = connected_graph6_lines(n - 1)
     keys = set()
     m = n - 1
+    bit = 1 << m
     for line in prev:
-        base = parse_graph6(line)
-        brows = base.rows
-        for mask in range(1, 1 << m):
+        brows = parse_graph6(line).rows
+        bdeg = [bin(r).count("1") for r in brows]
+        for mask in _sorted_masks(m, brows):
             rows = list(brows)
+            deg = list(bdeg)
             rest = mask
             while rest:
                 u = (rest & -rest).bit_length() - 1
                 rest &= rest - 1
-                rows[u] |= 1 << m
+                rows[u] |= bit
+                deg[u] += 1
             rows.append(mask)
-            keys.add(_canonical_g6(n, rows))
+            d = bin(mask).count("1")
+            deg.append(d)
+            inv = None
+            for v in range(m):
+                if deg[v] > d:
+                    continue
+                if deg[v] == d:
+                    if inv is None:
+                        inv = _neighbour_degrees(deg, mask)
+                    if _neighbour_degrees(deg, rows[v]) >= inv:
+                        continue
+                if not _is_cut_vertex(n, rows, v):
+                    break
+            else:
+                keys.add(_canonical_g6(n, rows))
     return tuple(sorted(keys))
 
 
 def generate_connected(n):
     """Yield one representative per isomorphism class of connected graphs
-    on n vertices, in sorted canonical-key order. Bounded at n = 8."""
+    on n vertices, in sorted canonical-key order. Bounded at n = 9."""
     if not 2 <= n <= GENERATOR_MAX_N:
         raise UnsupportedSizeError(
             f"bundled generator covers 2 <= n <= {GENERATOR_MAX_N} (got {n}); "

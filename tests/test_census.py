@@ -1,3 +1,4 @@
+import io
 import random
 from collections import Counter
 from fractions import Fraction
@@ -116,16 +117,20 @@ def test_sweep_bucket_sanity():
         assert all(v >= 1 for v in res.buckets.values())
 
 
-def test_census_from_file(tmp_path):
+def test_census_from_file(tmp_path, monkeypatch):
     src = tmp_path / "graphs5.g6"
     src.write_text(
         ">>graph6<<\n\n" + "\n".join(connected_graph6_lines(5)) + "\n", encoding="ascii"
     )
-    spec = CensusSpec(
-        5, D.CONNECTED, (K.SIGNLESS_LAPLACIAN,), F.GEN_SPECTRAL, source=str(src)
-    )
+    kinds = (K.SIGNLESS_LAPLACIAN,)
+    spec = CensusSpec(5, D.CONNECTED, kinds, F.GEN_SPECTRAL, source=str(src))
     rows = run_census(spec)
     assert rows[0].domain_size == 21 and rows[0].with_mate == 2
+    # source '-' reads the same bytes from stdin, with no lines= from the caller
+    stdin = io.TextIOWrapper(io.BytesIO(src.read_bytes()), encoding="ascii")
+    monkeypatch.setattr("sys.stdin", stdin)
+    assert run_census(CensusSpec(5, D.CONNECTED, kinds, F.GEN_SPECTRAL, source="-")) == rows
+    assert not stdin.buffer.closed
 
 
 def test_census_errors_carry_line_numbers(tmp_path):
@@ -184,7 +189,7 @@ def test_diff_paper_small():
 def test_bundled_generator_size_bound():
     from cospec.errors import UnsupportedSizeError
 
-    spec = CensusSpec(9, D.CONNECTED, (K.ADJACENCY,), F.SPECTRAL)
+    spec = CensusSpec(10, D.CONNECTED, (K.ADJACENCY,), F.SPECTRAL)
     exc = pytest.raises(UnsupportedSizeError, run_census, spec).value
     assert "external graph6 file" in str(exc)
 

@@ -1,8 +1,11 @@
+import hashlib
 import random
+from functools import lru_cache
 from itertools import permutations
 
 import pytest
 
+from cospec import graphs
 from cospec.errors import Graph6ParseError, UnsupportedSizeError
 from cospec.graphs import (
     Graph,
@@ -279,9 +282,70 @@ def test_generate_connected_sorted_deduped():
 
 def test_generate_connected_bounds():
     with pytest.raises(UnsupportedSizeError):
-        next(generate_connected(9))
+        next(generate_connected(10))
     with pytest.raises(UnsupportedSizeError):
         next(generate_connected(1))
+
+
+def test_generator_matches_networkx_atlas():
+    # the atlas lists every graph on at most 7 vertices, built independently
+    nx = pytest.importorskip("networkx")
+    keys = {n: set() for n in range(1, 8)}
+    for h in nx.graph_atlas_g():
+        n = h.number_of_nodes()
+        if n and nx.is_connected(h):
+            keys[n].add(canonical_key(from_edges(n, h.edges())).decode("ascii"))
+    for n in range(1, 8):
+        assert keys[n] == set(connected_graph6_lines(n))
+    assert [len(keys[n]) for n in range(1, 8)] == [1, 1, 2, 6, 21, 112, 853]
+
+
+def test_generator_n8_digest():
+    text = "\n".join(connected_graph6_lines(8)) + "\n"
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == (
+        "370179f0d16fe7beee1c5b3baca8898cf6f0f9154058486f03031eec0611a145"
+    )
+
+
+def test_generator_prunes_canonical_forms(monkeypatch):
+    # a cold n <= 7 build in a private cache, so the shared one is untouched;
+    # extending every parent by every mask takes 7,815 canonical forms
+    want = connected_graph6_lines(7)
+    calls = []
+    canonical = graphs._canonical_g6
+    monkeypatch.setattr(
+        graphs, "_canonical_g6", lambda n, rows: calls.append(n) or canonical(n, rows)
+    )
+    cold = lru_cache(maxsize=None)(graphs.connected_graph6_lines.__wrapped__)
+    monkeypatch.setattr(graphs, "connected_graph6_lines", cold)
+    assert graphs.connected_graph6_lines(7) == want
+    assert cold.cache_info().currsize == 7
+    assert len(calls) <= 1500
+
+
+def test_canonical_key_in_generator_output():
+    # any relabelling of any connected graph keys to one generated line
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def relabelled_connected(draw):
+        n = draw(st.integers(2, 8))
+        # a random tree, then random extra edges, under a random labelling
+        edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+        pairs = [(u, v) for v in range(n) for u in range(v)]
+        edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))))
+        perm = draw(st.permutations(range(n)))
+        return from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+
+    levels = {n: set(connected_graph6_lines(n)) for n in range(2, 9)}
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(relabelled_connected())
+    def check(g):
+        assert canonical_key(g).decode("ascii") in levels[g.n]
+
+    check()
 
 
 def test_connected_complement_counts():
