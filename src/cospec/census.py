@@ -23,6 +23,7 @@ from .errors import CensusInputError, ConsistencyError, Graph6ParseError, Unsupp
 from .graphs import (
     GENERATOR_MAX_N,
     _data_lines,
+    _open_source,
     _read_lines,
     complement,
     connected_graph6_lines,
@@ -370,7 +371,7 @@ def diff_paper(max_n=8, sources=None, jobs=None):
     published reference value.
 
     Cells with n above the bundled generator bound run only when sources
-    maps that n to a graph6 file path.
+    maps that n to a graph6 file path ('-' = stdin).
     """
     sources = sources or {}
     cells = [c for c in expected_tables() if c.n <= max_n]
@@ -379,7 +380,8 @@ def diff_paper(max_n=8, sources=None, jobs=None):
         if cell.n <= GENERATOR_MAX_N or cell.n in sources:
             by_n.setdefault(cell.n, []).append(cell)
     for n in by_n.keys() & sources.keys():
-        open(sources[n], "rb").close()  # fail now, not after the smaller n
+        with _open_source(sources[n]):  # fail now, not after the smaller n
+            pass
     out = []
     for n in sorted(by_n):
         group = by_n[n]

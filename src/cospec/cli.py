@@ -290,7 +290,7 @@ def build_parser():
     p = sub.add_parser("diff-paper", help="recompute and diff the published tables")
     p.add_argument("--max-n", type=int, default=8)
     p.add_argument("--graphs", action="append", metavar="N=FILE",
-                   help="external graph6 file for vertex count N (repeatable)")
+                   help="external graph6 file for vertex count N, - for stdin (repeatable)")
     p.add_argument("--jobs", type=int, default=None)
     p.set_defaults(func=_cmd_diff_paper)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import io
 import string
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -259,26 +260,34 @@ def _pack_columns(n, cols):
 
 def _data_lines(lines):
     """Yield (lineno, line) for the data lines of an iterable of text lines:
-    each line is stripped, then blank and '>'-prefixed header/comment lines
-    are skipped.
+    each line is stripped and loses a leading >>graph6<< header, then blank
+    and '>'-prefixed header/comment lines are skipped.
 
+    The format lets the header run straight into the first graph with no
+    line end, as networkx writes it, so the rest of such a line is data.
     Only ASCII whitespace is stripped: bytes such as 0xa0, which _read_lines
     decodes to characters str.strip() would remove, must reach
     parse_graph6's byte range check.
     """
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip(string.whitespace)
+        line = raw.strip(string.whitespace).removeprefix(">>graph6<<")
         if line and not line.startswith(">"):
             yield lineno, line
+
+
+def _open_source(pathname):
+    """Context manager for the binary stream of a graph6 source: the file,
+    or stdin for '-', which is left open."""
+    if pathname == "-":
+        return nullcontext(sys.stdin.buffer)
+    return open(pathname, "rb")
 
 
 def _read_lines(pathname):
     """All lines of a graph6 file, or of stdin for '-', without their line
     ends."""
-    if pathname == "-":
-        return _decode_lines(sys.stdin.buffer)
-    with open(pathname, "rb") as handle:
-        return _decode_lines(handle)
+    with _open_source(pathname) as stream:
+        return _decode_lines(stream)
 
 
 def _decode_lines(stream):
@@ -299,8 +308,8 @@ def _decode_lines(stream):
 def iter_graph6_lines(lines):
     """Yield (lineno, Graph) from an iterable of text lines.
 
-    Lines are stripped, then blank lines and '>'-prefixed header/comment
-    lines are skipped.
+    Lines are stripped and lose a leading >>graph6<< header, then blank
+    lines and '>'-prefixed header/comment lines are skipped.
     """
     for lineno, line in _data_lines(lines):
         try:

@@ -10,9 +10,14 @@ A fingerprint is an opaque byte key; two graphs get equal keys for a given
   invariant       equal Smith normal form of M
   gen-invariant   invariant, and complements invariant
 
-Keys serialize coefficient and factor lists with explicit length prefixes
-and two's-complement big-endian integers; no hashing is involved, so equal
-keys never collide across distinct values.
+A key is ASCII decimal text: each block's ints joined by ",", the blocks
+joined by ";". The K3 adjacency spectral key is b"-2,-3,0,1" (charpoly
+x^3 - 3x - 2, ascending). Kind and flavor are not encoded, since keys are
+only compared within one (kind, flavor), whose flavor fixes the block
+count. With that count fixed the text decodes uniquely, so distinct block
+lists never share a key; no hashing is involved. Every coefficient of a
+graph matrix on at most 64 vertices has fewer than 215 digits, far below
+CPython's 4,300-digit limit on str(int).
 """
 
 from __future__ import annotations
@@ -117,20 +122,14 @@ class _Blocks:
         return ints
 
 
-def _block(ints):
-    parts = [len(ints).to_bytes(4, "big")]
-    for v in ints:
-        b = v.to_bytes(((v + (v < 0)).bit_length() // 8) + 1, "big", signed=True)
-        parts.append(len(b).to_bytes(2, "big"))
-        parts.append(b)
-    return b"".join(parts)
-
-
 def compose_key(kind, flavor, blocks):
-    """Assemble the byte key from already computed component int lists."""
-    return f"{kind.value};{flavor.value};".encode("ascii") + b"".join(
-        _block(b) for b in blocks
-    )
+    """Assemble the byte key from already computed component int lists.
+
+    Kind and flavor are not encoded: keys are only ever compared within one
+    (kind, flavor). An empty block (a zero cof polynomial) is the empty
+    string between separators.
+    """
+    return ";".join(",".join(map(str, ints)) for ints in blocks).encode("ascii")
 
 
 def fingerprint_blocks(g, kind, flavor):

@@ -133,6 +133,21 @@ def test_census_from_file(tmp_path, monkeypatch):
     assert not stdin.buffer.closed
 
 
+def test_census_counts_networkx_graph6_file(tmp_path):
+    # networkx writes the >>graph6<< header glued to each graph it writes;
+    # every one of those graphs is data
+    nx = pytest.importorskip("networkx")
+    lines = connected_graph6_lines(5)
+    src = tmp_path / "nx5.g6"
+    with open(src, "wb") as handle:
+        for line in lines:
+            nx.write_graph6(nx.from_graph6_bytes(line.encode("ascii")), handle)
+    assert src.read_bytes().startswith(b">>graph6<<" + lines[0].encode("ascii"))
+    kinds = (K.SIGNLESS_LAPLACIAN,)
+    rows = run_census(CensusSpec(5, D.CONNECTED, kinds, F.GEN_SPECTRAL, source=str(src)))
+    assert rows[0].domain_size == 21 and rows[0].with_mate == 2
+
+
 def test_census_errors_carry_line_numbers(tmp_path):
     spec = CensusSpec(5, D.CONNECTED, (K.ADJACENCY,), F.SPECTRAL)
     lines = list(connected_graph6_lines(5))

@@ -191,6 +191,22 @@ def test_diff_paper_graphs_needs_integer_n(capsys):
         assert "--graphs expects N=FILE" in capsys.readouterr().err
 
 
+def test_diff_paper_graphs_dash_reads_stdin(tmp_path, monkeypatch, capsys):
+    # --graphs N=- reads stdin by the same rule as census --input -
+    data = ("\n".join(connected_graph6_lines(4)) + "\n").encode("ascii")
+    stdin = io.TextIOWrapper(io.BytesIO(data), encoding="ascii")
+    monkeypatch.setattr("sys.stdin", stdin)
+    code, out, err = run_cli(capsys, "diff-paper", "--max-n", "4", "--graphs", "4=-")
+    assert code == 0 and err == "" and out.endswith("\n24 cells, 0 mismatches\n")
+    assert stdin.buffer.read() == b"" and not stdin.buffer.closed
+    # a missing file still fails before the first sweep
+    swept = []
+    monkeypatch.setattr("cospec.census.sweep", lambda *args, **kw: swept.append(args))
+    missing = tmp_path / "missing.g6"
+    code, out, err = run_cli(capsys, "diff-paper", "--max-n", "5", "--graphs", f"5={missing}")
+    assert (code, out, err, swept) == (1, "", f"cospec: {missing}: No such file or directory\n", [])
+
+
 def test_unreadable_input_is_one_line_error(tmp_path, capsys):
     missing = tmp_path / "missing.g6"
     census = ("census", "--n", "4", "--domain", "connected", "--kind", "a", "--flavor", "spectral")

@@ -387,6 +387,10 @@ def test_iter_graph6_lines_skips_comments():
     got = list(iter_graph6_lines(lines))
     assert [lineno for lineno, _ in got] == [3, 4]
     assert got[0][1] == complete(4)
+    # the optional header may run into the first graph with no line end
+    got = list(iter_graph6_lines([">>graph6<<Ch", "Cl"]))
+    assert [lineno for lineno, _ in got] == [1, 2]
+    assert got[0][1] == parse_graph6("Ch") and got[1][1] == parse_graph6("Cl")
 
 
 def test_iter_graph6_lines_reports_line_numbers():

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from cospec.errors import ConnectivityError
@@ -12,12 +14,14 @@ from cospec.graphs import (
     path,
     star,
 )
-from cospec.intlinalg import charpoly, charpoly_coeffs
+from cospec.intlinalg import charpoly, charpoly_coeffs, determinant, snf_diagonal
 from cospec.invariants import (
     Flavor,
     cokernel_group,
+    compose_key,
     describe_fingerprint,
     fingerprint,
+    fingerprint_blocks,
     is_codeterminantal_Qx,
     related,
 )
@@ -73,23 +77,128 @@ def test_connectivity_requirements():
 
 
 def test_fingerprint_byte_layout():
-    # pinned serialization: tag, 4-byte length, then per-int 2-byte length +
-    # two's-complement big-endian bytes
+    # pinned serialization: ASCII decimal ints joined by ",", blocks by ";",
+    # with no kind or flavor tag; the SNF of L(K2) is (1, 0)
     key = fingerprint(complete(2), K.LAPLACIAN, F.INVARIANT)
-    assert key == b"l;invariant;" + b"\x00\x00\x00\x02" + b"\x00\x01\x01" + b"\x00\x01\x00"
+    assert key == b"1,0"
 
 
 def test_fingerprint_negative_ints_roundtrip():
     key = fingerprint(complete(3), K.ADJACENCY, F.SPECTRAL)
     # charpoly x^3 - 3x - 2 ascending: (-2, -3, 0, 1)
-    assert key == (
-        b"a;spectral;"
-        + b"\x00\x00\x00\x04"
-        + b"\x00\x01\xfe"
-        + b"\x00\x01\xfd"
-        + b"\x00\x01\x00"
-        + b"\x00\x01\x01"
-    )
+    assert key == b"-2,-3,0,1"
+    assert [int(v) for v in key.decode("ascii").split(",")] == [-2, -3, 0, 1]
+
+
+# Hypothesis properties: reproducible examples and no example database
+_PROPERTY_SETTINGS = dict(deadline=None, derandomize=True, database=None)
+
+
+def test_compose_key_is_injective():
+    # equal keys exactly for equal block lists of the same block count,
+    # with big ints, zeros, empty blocks and ints moved across the boundary
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    ints = st.integers(-(2**700), 2**700) | st.integers(-10, 10)
+    blocks = st.lists(ints, max_size=4)
+
+    @st.composite
+    def block_list_pairs(draw):
+        k = draw(st.integers(1, 2))
+        a = draw(st.lists(blocks, min_size=k, max_size=k))
+        how = draw(st.sampled_from(["copy", "resplit", "fresh"]))
+        if how == "copy":
+            b = [list(block) for block in a]
+        elif how == "resplit":
+            flat = [v for block in a for v in block]
+            cut = draw(st.integers(0, len(flat)))
+            b = [flat[:cut], flat[cut:]] if k == 2 else [flat]
+        else:
+            b = draw(st.lists(blocks, min_size=k, max_size=k))
+        return a, b
+
+    @hypothesis.settings(max_examples=300, **_PROPERTY_SETTINGS)
+    @hypothesis.given(block_list_pairs())
+    def check(pair):
+        a, b = pair
+        flavor = F.SPECTRAL if len(a) == 1 else F.GEN_SPECTRAL
+        key_a = compose_key(K.ADJACENCY, flavor, a)
+        assert (key_a == compose_key(K.ADJACENCY, flavor, b)) == (a == b)
+
+    check()
+
+
+def _relabelled_pairs(hypothesis):
+    """(g, g relabelled) for connected g on 4 to 7 vertices whose
+    complement is connected too."""
+    st = hypothesis.strategies
+
+    @st.composite
+    def draw_pair(draw):
+        n = draw(st.integers(4, 7))
+        # a random tree plus random extra edges
+        edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+        pairs = [(u, v) for v in range(n) for u in range(v)]
+        edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))))
+        g = from_edges(n, edges)
+        hypothesis.assume(complement(g).is_connected())
+        perm = draw(st.permutations(range(n)))
+        return g, from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+
+    return draw_pair()
+
+
+def test_every_fingerprint_is_relabelling_invariant():
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=100, **_PROPERTY_SETTINGS)
+    @hypothesis.given(_relabelled_pairs(hypothesis))
+    def check(pair):
+        g, h = pair
+        for kind in K:
+            for flavor in F:
+                assert fingerprint(g, kind, flavor) == fingerprint(h, kind, flavor)
+
+    check()
+
+
+def test_snf_product_equals_charpoly_constant_and_determinant():
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=150, **_PROPERTY_SETTINGS)
+    @hypothesis.given(_relabelled_pairs(hypothesis))
+    def check(pair):
+        g, _ = pair
+        for kind in K:
+            m = build_matrix(g, kind)
+            det = abs(determinant(m))
+            assert math.prod(snf_diagonal(m)) == abs(charpoly_coeffs(m)[0]) == det
+
+    check()
+
+
+def test_complement_blocks_are_the_side_swapped_blocks():
+    # the key of the complement is the key of g with each component's side
+    # flipped, for both generalized flavors and every kind
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=100, **_PROPERTY_SETTINGS)
+    @hypothesis.given(_relabelled_pairs(hypothesis))
+    def check(pair):
+        g, _ = pair
+        cg = complement(g)
+        for flavor in (F.GEN_SPECTRAL, F.GEN_INVARIANT):
+            for kind in K:
+                own = dict(zip(flavor.components, fingerprint_blocks(g, kind, flavor)))
+                flipped = {
+                    (op, 1 - side): ints
+                    for (op, side), ints in zip(
+                        flavor.components, fingerprint_blocks(cg, kind, flavor)
+                    )
+                }
+                assert flipped == own
+
+    check()
 
 
 def test_describe_fingerprint():
