@@ -13,13 +13,12 @@ import os
 from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from functools import partial
 from itertools import islice
 from multiprocessing import Pool
 
-from .errors import CensusInputError, ConsistencyError, Graph6ParseError, UnsupportedSizeError
+from .errors import CensusInputError, ConsistencyError, Graph6ParseError
 from .graphs import (
     GENERATOR_MAX_N,
     _data_lines,
@@ -34,23 +33,13 @@ from .graphs import (
 # functions here, though the sweep builds the cof block from its charpoly
 from .intlinalg import charpoly_coeffs, cof_coeffs, snf_diagonal
 from .invariants import Flavor, _Blocks, compose_key
-from .matrices import MatrixKind, build_matrix
+from .matrices import MatrixKind, TokenEnum, build_matrix
 
 
-class Domain(Enum):
+class Domain(TokenEnum):
     CONNECTED = "connected"
     CONNECTED_COMPLEMENT = "connected-with-connected-complement"
     DIAM2_PAIR = "diam2-pair"
-
-    @classmethod
-    def from_token(cls, token):
-        try:
-            return cls(token.lower())
-        except ValueError:
-            raise ValueError(
-                f"unknown domain {token!r}; expected one of "
-                + ", ".join(d.value for d in cls)
-            ) from None
 
 
 @dataclass(frozen=True)
@@ -220,11 +209,6 @@ def sweep(n, tasks, lines, jobs=None):
 def source_lines(spec):
     """Resolve the graph6 lines for a census spec."""
     if spec.source is None:
-        if spec.n > GENERATOR_MAX_N:
-            raise UnsupportedSizeError(
-                f"bundled generator stops at n = {GENERATOR_MAX_N}; supply an "
-                f"external graph6 file for n = {spec.n}"
-            )
         return connected_graph6_lines(spec.n)
     return _read_lines(spec.source)
 

@@ -5,8 +5,9 @@ calls the corresponding function, and prints its serialized value, so the
 output is byte-identical to serializing the library call directly.
 
 Exit codes: 0 success, 1 domain/input errors and unreadable files
-(one-line diagnostic on stderr), 2 usage errors. diff-paper exits 1 when
-any expected cell mismatches.
+(one-line diagnostic on stderr), 2 usage errors, among them an unknown
+matrix kind, flavor or domain, whose message lists the accepted tokens.
+diff-paper exits 1 when any expected cell mismatches.
 """
 
 from __future__ import annotations
@@ -72,12 +73,19 @@ def census_rows_to_json(rows):
     )
 
 
-def _kind(token):
-    return MatrixKind.from_token(token)
+def _token(enum, comma_list=False):
+    """argparse type for an enum token, or for a comma-separated list of
+    them; an unknown token is a usage error."""
 
+    def parse(text):
+        try:
+            if comma_list:
+                return [enum.from_token(t) for t in text.split(",")]
+            return enum.from_token(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
-def _flavor(token):
-    return Flavor.from_token(token)
+    return parse
 
 
 def _input_graphs(args, parser):
@@ -160,13 +168,10 @@ def _cmd_closed_form(args, parser):
 
 
 def _cmd_census(args, parser):
-    kinds = []
-    for chunk in args.kind:
-        kinds.extend(_kind(tok) for tok in chunk.split(","))
     spec = CensusSpec(
         n=args.n,
-        domain=Domain.from_token(args.domain),
-        kinds=tuple(kinds),
+        domain=args.domain,
+        kinds=tuple(args.kind),
         flavor=args.flavor,
         source=args.input,
     )
@@ -214,49 +219,50 @@ def build_parser():
         "matrices, with cospectrality and coinvariance censuses.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    kind, flavor = _token(MatrixKind), _token(Flavor)
 
     def add_graph_input(p):
         p.add_argument("graph", nargs="?", help="graph6 literal")
         p.add_argument("--input", help="graph6 file, or - for stdin")
 
     p = sub.add_parser("matrix", help="print a graph matrix")
-    p.add_argument("--kind", type=_kind, required=True)
+    p.add_argument("--kind", type=kind, required=True)
     add_graph_input(p)
     p.set_defaults(func=_cmd_matrix)
 
     p = sub.add_parser("charpoly", help="characteristic polynomial det(xI - M)")
-    p.add_argument("--kind", type=_kind, required=True)
+    p.add_argument("--kind", type=kind, required=True)
     p.add_argument("--format", choices=("text", "json"), default="text")
     add_graph_input(p)
     p.set_defaults(func=_cmd_polynomial, polynomial=charpoly)
 
     p = sub.add_parser("cof", help="cofactor-sum polynomial of xI - M")
-    p.add_argument("--kind", type=_kind, required=True)
+    p.add_argument("--kind", type=kind, required=True)
     p.add_argument("--format", choices=("text", "json"), default="text")
     add_graph_input(p)
     p.set_defaults(func=_cmd_polynomial, polynomial=cof_polynomial)
 
     p = sub.add_parser("snf", help="Smith normal form invariant factors")
-    p.add_argument("--kind", type=_kind, required=True)
+    p.add_argument("--kind", type=kind, required=True)
     add_graph_input(p)
     p.set_defaults(func=_cmd_snf)
 
     p = sub.add_parser("fingerprint", help="canonical equivalence-class key")
-    p.add_argument("--kind", type=_kind, required=True)
-    p.add_argument("--flavor", type=_flavor, required=True)
+    p.add_argument("--kind", type=kind, required=True)
+    p.add_argument("--flavor", type=flavor, required=True)
     p.add_argument("--describe", action="store_true", help="human-readable form")
     add_graph_input(p)
     p.set_defaults(func=_cmd_fingerprint)
 
     p = sub.add_parser("relate", help="test a pairwise relation")
-    p.add_argument("--kind", type=_kind, required=True)
-    p.add_argument("--flavor", type=_flavor, required=True)
+    p.add_argument("--kind", type=kind, required=True)
+    p.add_argument("--flavor", type=flavor, required=True)
     p.add_argument("graph_a")
     p.add_argument("graph_b")
     p.set_defaults(func=_cmd_relate)
 
     p = sub.add_parser("codet", help="Q[x] codeterminantality of xI - M")
-    p.add_argument("--kind", type=_kind, required=True)
+    p.add_argument("--kind", type=kind, required=True)
     p.add_argument("graph_a")
     p.add_argument("graph_b")
     p.set_defaults(func=_cmd_codet)
@@ -277,9 +283,10 @@ def build_parser():
 
     p = sub.add_parser("census", help="bucket graphs by fingerprint and count mates")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--domain", required=True)
-    p.add_argument("--kind", action="append", required=True, help="repeatable, comma-separable")
-    p.add_argument("--flavor", type=_flavor, required=True)
+    p.add_argument("--domain", type=_token(Domain), required=True)
+    p.add_argument("--kind", type=_token(MatrixKind, comma_list=True), action="extend",
+                   required=True, help="repeatable, comma-separable")
+    p.add_argument("--flavor", type=flavor, required=True)
     p.add_argument(
         "--input", help="graph6 file, or - for stdin (default: bundled generator)"
     )

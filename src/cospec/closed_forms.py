@@ -10,9 +10,10 @@ always cross-checked.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
 from math import gcd, prod
+from operator import or_
 
 from .errors import ConsistencyError, UnsupportedSizeError
 from .graphs import Graph, distance_data
@@ -183,63 +184,52 @@ def tree_snf(t):
 
 
 @lru_cache(maxsize=None)
-def _path_edge_masks(tree):
-    """For each vertex pair of the tree, the bitmask (over the edge list)
-    of the unique path between them."""
-    n = tree.n
-    edges = list(tree.edges())
-    eindex = {}
-    for i, (u, v) in enumerate(edges):
-        eindex[(u, v)] = i
-        eindex[(v, u)] = i
-    parent = [[-1] * n for _ in range(n)]
-    for s in range(n):
-        stack = [s]
-        seen = 1 << s
-        while stack:
-            u = stack.pop()
-            r = tree.rows[u]
-            while r:
-                w = (r & -r).bit_length() - 1
-                r &= r - 1
-                if not (seen >> w) & 1:
-                    seen |= 1 << w
-                    parent[s][w] = u
-                    stack.append(w)
-    masks = {}
-    for s in range(n):
-        for v in range(n):
-            if v == s:
-                continue
-            mask = 0
-            w = v
-            while w != s:
-                p = parent[s][w]
-                mask |= 1 << eindex[(p, w)]
-                w = p
-            masks[(s, v)] = mask
-    return edges, masks
+def _edge_sides(tree):
+    """For each tree edge, the bitset of vertices on its far side from
+    vertex 0: one search from vertex 0, and edge (parent(v), v) gets the
+    subtree of v."""
+    parent = [-1] * tree.n
+    order = [0]
+    seen = 1
+    for u in order:
+        r = tree.rows[u] & ~seen
+        seen |= r
+        while r:
+            w = (r & -r).bit_length() - 1
+            r &= r - 1
+            parent[w] = u
+            order.append(w)
+    below = [1 << v for v in range(tree.n)]
+    for v in reversed(order[1:]):
+        below[parent[v]] |= below[v]
+    return tuple(below[v] for v in order[1:])
 
 
 def rho(t, U):
     """Number of (|U|-1)-subsets of tree edges meeting every path between
-    distinct vertices of U. Brute force over edge subsets."""
+    distinct vertices of U. Brute force over edge subsets.
+
+    An edge lies on the u-v path exactly when it separates u and v, so each
+    edge gets the bitset of the pairs of U that it separates, and a subset
+    counts when the union of its bitsets holds every pair.
+    """
     verts = sorted(set(U))
     if not verts:
         raise ValueError("rho needs a nonempty vertex set")
     _check_tree_size(t)
-    edges, masks = _path_edge_masks(t.tree)
-    pair_masks = [masks[(u, v)] for u, v in combinations(verts, 2)]
-    m = len(edges)
-    size = len(verts) - 1
-    count = 0
-    for subset in combinations(range(m), size):
-        fmask = 0
-        for i in subset:
-            fmask |= 1 << i
-        if all(fmask & pm for pm in pair_masks):
-            count += 1
-    return count
+    pairs = list(combinations(verts, 2))
+    cuts = []
+    for side in _edge_sides(t.tree):
+        cut = 0
+        for i, (u, v) in enumerate(pairs):
+            if ((side >> u) ^ (side >> v)) & 1:
+                cut |= 1 << i
+        cuts.append(cut)
+    every = (1 << len(pairs)) - 1
+    return sum(
+        reduce(or_, subset, 0) == every
+        for subset in combinations(cuts, len(verts) - 1)
+    )
 
 
 def tree_delta_n(t):

@@ -75,19 +75,22 @@ class Graph:
                 v += 1
 
     def is_connected(self):
-        n, rows = self.n, self.rows
-        seen = 1
-        frontier = 1
+        return _connected(self.rows, (1 << self.n) - 1)
+
+
+def _connected(rows, mask):
+    """Whether the vertices of the nonzero bitset mask induce a connected
+    subgraph of the graph with adjacency rows."""
+    seen = frontier = mask & -mask
+    while frontier:
+        nxt = 0
         while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                v = (f & -f).bit_length() - 1
-                f &= f - 1
-                nxt |= rows[v]
-            frontier = nxt & ~seen
-            seen |= frontier
-        return seen == (1 << n) - 1
+            low = frontier & -frontier
+            frontier ^= low
+            nxt |= rows[low.bit_length() - 1]
+        frontier = nxt & mask & ~seen
+        seen |= frontier
+    return seen == mask
 
 
 def from_edges(n, edges):
@@ -228,22 +231,23 @@ def _PAIR_CACHE(n):
 
 def write_graph6(g):
     """Canonical graph6 line; inverse of parse_graph6."""
-    n = g.n
-    if n <= MAX_SHORT_GRAPH6_VERTICES:
-        size = chr(n + 63)
-    else:
-        size = "~" + "".join(chr((n >> k & 63) + 63) for k in (12, 6, 0))
-    cols = []
     rows = g.rows
-    for v in range(1, n):
+    cols = []
+    for v in range(1, g.n):
         c = 0
         for u in range(v):
             c = (c << 1) | ((rows[u] >> v) & 1)
         cols.append(c)
-    return size + _pack_columns(n, cols)
+    return _graph6(g.n, cols)
 
 
-def _pack_columns(n, cols):
+def _graph6(n, cols):
+    """graph6 line of an n-vertex graph from its column codes: cols[v - 1]
+    holds the pairs (0, v), ..., (v - 1, v), the first one most significant."""
+    if n <= MAX_SHORT_GRAPH6_VERTICES:
+        size = chr(n + 63)
+    else:
+        size = "~" + "".join(chr((n >> k & 63) + 63) for k in (12, 6, 0))
     acc = 0
     nbits = 0
     for v, c in enumerate(cols, start=1):
@@ -252,7 +256,7 @@ def _pack_columns(n, cols):
     pad = (-nbits) % 6
     acc <<= pad
     nbits += pad
-    chars = []
+    chars = [size]
     for k in range(nbits - 6, -1, -6):
         chars.append(chr(((acc >> k) & 63) + 63))
     return "".join(chars)
@@ -285,24 +289,18 @@ def _open_source(pathname):
 
 def _read_lines(pathname):
     """All lines of a graph6 file, or of stdin for '-', without their line
-    ends."""
-    with _open_source(pathname) as stream:
-        return _decode_lines(stream)
-
-
-def _decode_lines(stream):
-    """All lines of a binary stream, without their line ends; the stream is
-    left open.
+    ends; stdin is left open.
 
     Decoding is byte-transparent (latin-1), so a non-ASCII byte becomes one
     character that parse_graph6 reports with its value and offset. Line
     ends are those of text mode: \\n, \\r\\n and \\r.
     """
-    text = io.TextIOWrapper(stream, encoding="latin-1")
-    try:
-        return [line.rstrip("\n") for line in text]
-    finally:
-        text.detach()
+    with _open_source(pathname) as stream:
+        text = io.TextIOWrapper(stream, encoding="latin-1")
+        try:
+            return [line.rstrip("\n") for line in text]
+        finally:
+            text.detach()
 
 
 def iter_graph6_lines(lines):
@@ -456,9 +454,7 @@ def _canonical_columns(n, rows):
 
 
 def _canonical_g6(n, rows):
-    if n == 1:
-        return "@"
-    return chr(n + 63) + _pack_columns(n, _canonical_columns(n, rows))
+    return _graph6(n, _canonical_columns(n, rows))
 
 
 def canonical_key(g):
@@ -498,21 +494,6 @@ def _sorted_masks(n, rows):
     return masks[1:]  # masks[0] is the empty neighbourhood
 
 
-def _is_cut_vertex(n, rows, v):
-    """Whether deleting v disconnects the connected graph rows."""
-    rest = ((1 << n) - 1) ^ (1 << v)
-    seen = frontier = rest & -rest
-    while frontier:
-        nxt = 0
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            nxt |= rows[low.bit_length() - 1]
-        frontier = nxt & rest & ~seen
-        seen |= frontier
-    return seen != rest
-
-
 def _neighbour_degrees(deg, row):
     return sorted(d for u, d in enumerate(deg) if (row >> u) & 1)
 
@@ -520,7 +501,7 @@ def _neighbour_degrees(deg, row):
 @lru_cache(maxsize=None)
 def connected_graph6_lines(n):
     """Canonical graph6 lines, sorted, one per isomorphism class of
-    connected graphs on n vertices.
+    connected graphs on n vertices, for 1 <= n <= GENERATOR_MAX_N.
 
     Built by vertex extension: every connected graph on n - 1 vertices gets
     a new vertex m = n - 1 with each nonzero neighbourhood mask, and the
@@ -533,12 +514,18 @@ def connected_graph6_lines(n):
     non-cut vertices, and deleting it leaves a connected parent whose
     extension by that vertex is kept.
     """
+    if not 1 <= n <= GENERATOR_MAX_N:
+        raise UnsupportedSizeError(
+            f"bundled generator covers 1 <= n <= {GENERATOR_MAX_N} (got {n}); "
+            "supply an external graph6 file for other sizes"
+        )
     if n == 1:
         return ("@",)
     prev = connected_graph6_lines(n - 1)
     keys = set()
     m = n - 1
     bit = 1 << m
+    full = (1 << n) - 1
     for line in prev:
         brows = parse_graph6(line).rows
         bdeg = [bin(r).count("1") for r in brows]
@@ -563,7 +550,7 @@ def connected_graph6_lines(n):
                         inv = _neighbour_degrees(deg, mask)
                     if _neighbour_degrees(deg, rows[v]) >= inv:
                         continue
-                if not _is_cut_vertex(n, rows, v):
+                if _connected(rows, full ^ (1 << v)):  # v is not a cut vertex
                     break
             else:
                 keys.add(_canonical_g6(n, rows))
@@ -572,12 +559,10 @@ def connected_graph6_lines(n):
 
 def generate_connected(n):
     """Yield one representative per isomorphism class of connected graphs
-    on n vertices, in sorted canonical-key order. Bounded at n = 9."""
-    if not 2 <= n <= GENERATOR_MAX_N:
-        raise UnsupportedSizeError(
-            f"bundled generator covers 2 <= n <= {GENERATOR_MAX_N} (got {n}); "
-            "supply an external graph6 file for larger sizes"
-        )
+    on n vertices, in sorted canonical-key order, for
+    2 <= n <= GENERATOR_MAX_N."""
+    if n < 2:
+        raise UnsupportedSizeError(f"generate_connected needs n >= 2 (got {n})")
     for line in connected_graph6_lines(n):
         yield parse_graph6(line)
 

@@ -23,16 +23,15 @@ CPython's 4,300-digit limit on str(int).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 from .errors import ConnectivityError
 from .graphs import complement, distance_data
 from .intlinalg import charpoly_coeffs, determinantal_gcds_Qx, snf_diagonal
-from .matrices import build_matrix
+from .matrices import TokenEnum, build_matrix
 from .polynomials import pstr, psub
 
 
-class Flavor(Enum):
+class Flavor(TokenEnum):
     SPECTRAL = "spectral"
     GEN_SPECTRAL = "gen-spectral"
     R_SPECTRAL = "r-spectral"
@@ -47,16 +46,6 @@ class Flavor(Enum):
     @property
     def uses_complement(self):
         return any(side for _, side in self.components)
-
-    @classmethod
-    def from_token(cls, token):
-        try:
-            return cls(token.lower())
-        except ValueError:
-            raise ValueError(
-                f"unknown flavor {token!r}; expected one of "
-                + ", ".join(f.value for f in cls)
-            ) from None
 
 
 # op is the computation on a graph matrix; side 0 is the graph and side 1

@@ -1,4 +1,5 @@
-"""The ten graph matrices and the complement-shift parameters.
+"""The ten graph matrices, the complement-shift parameters, and the token
+rule of the enums that name kinds, flavors and domains.
 
 Every matrix is materialized densely with exact integer entries. The
 distance-derived kinds require a connected graph; building them for a
@@ -7,6 +8,7 @@ disconnected one raises ConnectivityError.
 
 from __future__ import annotations
 
+import re
 from enum import Enum
 from typing import NamedTuple
 
@@ -14,7 +16,23 @@ from .errors import ConnectivityError
 from .graphs import distance_data
 
 
-class MatrixKind(Enum):
+class TokenEnum(Enum):
+    """An enum read from its value in any letter case; the error names the
+    class in words (MatrixKind -> "matrix kind") and every accepted token."""
+
+    @classmethod
+    def from_token(cls, token):
+        try:
+            return cls(token.lower())
+        except ValueError:
+            noun = re.sub(r"\B([A-Z])", r" \1", cls.__name__).lower()
+            raise ValueError(
+                f"unknown {noun} {token!r}; expected one of "
+                + ", ".join(m.value for m in cls)
+            ) from None
+
+
+class MatrixKind(TokenEnum):
     ADJACENCY = "a"
     LAPLACIAN = "l"
     SIGNLESS_LAPLACIAN = "q"
@@ -30,16 +48,6 @@ class MatrixKind(Enum):
     def requires_connected(self):
         diagonal, _, base = _FORMULAS[self]
         return base == "dist" or diagonal == "trs"
-
-    @classmethod
-    def from_token(cls, token):
-        try:
-            return cls(token.lower())
-        except ValueError:
-            raise ValueError(
-                f"unknown matrix kind {token!r}; expected one of "
-                + ", ".join(k.value for k in cls)
-            ) from None
 
 
 # M = diag(diagonal) + sign * base, with diagonal None (zero), "deg" or

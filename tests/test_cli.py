@@ -175,6 +175,30 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 2
 
 
+def test_bad_tokens_are_usage_errors(capsys):
+    # exit 2, and the message lists every accepted token
+    cases = [
+        (["matrix", "--kind", "zz", "Ch"], MatrixKind),
+        (["fingerprint", "--kind", "a", "--flavor", "zz", "Ch"], Flavor),
+        (["census", "--n", "4", "--domain", "bogus", "--kind", "a",
+          "--flavor", "spectral"], Domain),
+        (["census", "--n", "4", "--domain", "connected", "--kind", "a,zz",
+          "--flavor", "spectral"], MatrixKind),
+    ]
+    for argv, enum in cases:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "expected one of " + ", ".join(m.value for m in enum) in err
+    code, out, _ = run_cli(
+        capsys, "census", "--n", "4", "--domain", "CONNECTED", "--kind", "A,q",
+        "--kind", "l", "--flavor", "spectral",
+    )
+    assert code == 0
+    assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["a", "q", "l"]
+
+
 def test_diff_paper_cli(capsys):
     code, out, _ = run_cli(capsys, "diff-paper", "--max-n", "5")
     assert code == 0

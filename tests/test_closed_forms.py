@@ -16,6 +16,7 @@ from cospec.errors import UnsupportedSizeError
 from cospec.graphs import (
     complete_multipartite,
     cycle,
+    distance_data,
     from_edges,
     generate_trees,
     path,
@@ -106,6 +107,35 @@ def test_rho_examples():
         assert rho(k14, leaves) == len(leaves)
     with pytest.raises(ValueError):
         rho(p3, ())
+
+
+def test_rho_matches_its_definition():
+    # every tree on at most 8 vertices and every nonempty vertex subset U:
+    # count the (|U| - 1)-subsets of edges that meet every u-v path of U,
+    # with edge (a, b) on the u-v path when it lies on a shortest walk
+    for n in range(1, 9):
+        for tree in generate_trees(n):
+            t = TreeData.from_graph(tree)
+            dist = distance_data(tree).dist
+            edges = list(tree.edges())
+
+            def on_path(e, u, v):
+                a, b = e
+                return (
+                    dist[u][a] + 1 + dist[b][v] == dist[u][v]
+                    or dist[u][b] + 1 + dist[a][v] == dist[u][v]
+                )
+
+            for size in range(1, n + 1):
+                for U in combinations(range(n), size):
+                    want = sum(
+                        all(
+                            any(on_path(e, u, v) for e in subset)
+                            for u, v in combinations(U, 2)
+                        )
+                        for subset in combinations(edges, size - 1)
+                    )
+                    assert rho(t, U) == want, (tree, U)
 
 
 def test_tree_delta_n_examples():

@@ -287,6 +287,20 @@ def test_generate_connected_bounds():
         next(generate_connected(1))
 
 
+def test_generator_bound_checked_before_any_work(monkeypatch):
+    # out-of-range sizes fail at once: no recursion, no canonical form
+    def no_canonical_form(n, rows):
+        raise AssertionError(f"canonical form computed at n = {n}")
+
+    monkeypatch.setattr(graphs, "_canonical_g6", no_canonical_form)
+    cold = lru_cache(maxsize=None)(graphs.connected_graph6_lines.__wrapped__)
+    monkeypatch.setattr(graphs, "connected_graph6_lines", cold)
+    for n in (0, -1, 10):
+        with pytest.raises(UnsupportedSizeError, match="external graph6 file"):
+            graphs.connected_graph6_lines(n)
+    assert graphs.connected_graph6_lines(1) == ("@",)
+
+
 def test_generator_matches_networkx_atlas():
     # the atlas lists every graph on at most 7 vertices, built independently
     nx = pytest.importorskip("networkx")

@@ -7,6 +7,7 @@ from cospec.graphs import (
     cycle,
     distance_data,
     empty,
+    from_edges,
     generate_connected,
     path,
 )
@@ -106,6 +107,51 @@ def test_shift_identity_all_kinds_diam2():
             for kind in ALL_KINDS:
                 x, y = complement_shift(kind, n)
                 assert build_matrix(cg, kind) == apply_shift(build_matrix(g, kind), x, y)
+
+
+def test_complement_shift_property_on_labelled_graphs():
+    # random labelled connected graphs: the shift is unconditional for a, l
+    # and q, and for the distance kinds (connected complement) it holds
+    # exactly when both diameters are at most 2
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    pair_graphs = [g for n in (5, 6, 7) for g, _ in _diam2_pairs(n)]
+
+    @st.composite
+    def labelled_graphs(draw):
+        # G(n, 1/2), or a graph of a diameter-2 pair, which G(n, 1/2) gives
+        # about once in 70 draws; either relabelled at random
+        if draw(st.booleans()):
+            g = draw(st.sampled_from(pair_graphs))
+            n, edges = g.n, list(g.edges())
+        else:
+            n = draw(st.integers(2, 7))
+            rnd = draw(st.randoms(use_true_random=False))
+            pairs = [(u, v) for v in range(n) for u in range(v)]
+            edges = [p for p in pairs if rnd.random() < 0.5]
+        perm = draw(st.permutations(range(n)))
+        g = from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+        hypothesis.assume(g.is_connected())
+        return g
+
+    @hypothesis.settings(
+        max_examples=100, deadline=None, derandomize=True, database=None
+    )
+    @hypothesis.given(labelled_graphs())
+    def check(g):
+        n = g.n
+        cg = complement(g)
+        for kind in (K.ADJACENCY, K.LAPLACIAN, K.SIGNLESS_LAPLACIAN):
+            shifted = apply_shift(build_matrix(g, kind), *complement_shift(kind, n))
+            assert build_matrix(cg, kind) == shifted
+        if not cg.is_connected():
+            return
+        both_diam2 = distance_data(g).diameter <= 2 and distance_data(cg).diameter <= 2
+        for kind in DISTANCE_KINDS:
+            shifted = apply_shift(build_matrix(g, kind), *complement_shift(kind, n))
+            assert (build_matrix(cg, kind) == shifted) == both_diam2
+
+    check()
 
 
 def _cube():
