@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import islice
@@ -86,25 +86,29 @@ class CensusSpec:
 
 @dataclass(frozen=True)
 class CensusRow:
-    kind: MatrixKind
-    flavor: Flavor
-    n: int
-    domain_size: int
-    with_mate: int
-    uncertainty: Fraction
-
-
-@dataclass
-class TaskCensus:
-    """Bucket counts for one (kind, flavor, domain) stream."""
+    """Bucket counts of one (kind, flavor, domain) task over the n-vertex
+    graphs of its domain; with_mate and uncertainty derive from them."""
 
     task: CensusTask
+    n: int
     domain_size: int
-    buckets: Counter
+    buckets: Counter = field(repr=False, hash=False)
+
+    @property
+    def kind(self):
+        return self.task.kind
+
+    @property
+    def flavor(self):
+        return self.task.flavor
 
     @property
     def with_mate(self):
         return sum(c for c in self.buckets.values() if c >= 2)
+
+    @property
+    def uncertainty(self):
+        return Fraction(self.with_mate, self.domain_size or 1)
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +120,7 @@ def _graph_task_keys(n, tasks, fns, lineno, line):
     try:
         g = parse_graph6(line)
     except Graph6ParseError as exc:
-        raise Graph6ParseError(str(exc), lineno=lineno) from exc
+        raise exc.at_line(lineno) from exc
     if g.n != n:
         raise CensusInputError(f"expected {n} vertices, got {g.n}", lineno=lineno)
     dd = distance_data(g)
@@ -164,20 +168,25 @@ def default_jobs():
     env = os.environ.get("COSPEC_JOBS")
     if env:
         try:
-            return max(1, int(env))
+            jobs = int(env)
         except ValueError:
-            raise ValueError(f"COSPEC_JOBS must be an integer (got {env!r})") from None
+            jobs = 0
+        if jobs < 1:
+            raise ValueError(f"COSPEC_JOBS must be a positive integer (got {env!r})")
+        return jobs
     return os.cpu_count() or 1
 
 
 def sweep(n, tasks, lines, jobs=None):
     """Run every task over a sequence of graph6 lines in one pass.
 
-    Returns (list of TaskCensus aligned with tasks, domain size dict).
+    Returns (list of CensusRow aligned with tasks, domain size dict).
     """
     tasks = list(tasks)
     if jobs is None:
         jobs = default_jobs()
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1 (got {jobs})")
     if jobs > 1:
         chunk_size = max(1, min(250, (len(lines) + 2 * jobs - 1) // (2 * jobs)))
     else:
@@ -195,47 +204,32 @@ def sweep(n, tasks, lines, jobs=None):
                 sizes[d] += v
             for total, counter in zip(buckets, counters):
                 total.update(counter)
-    results = [TaskCensus(t, sizes[t.domain], b) for t, b in zip(tasks, buckets)]
-    for res in results:
-        bucketed = sum(res.buckets.values())
-        if bucketed != res.domain_size:
+    rows = [CensusRow(t, n, sizes[t.domain], b) for t, b in zip(tasks, buckets)]
+    for row in rows:
+        bucketed = sum(row.buckets.values())
+        if bucketed != row.domain_size:
             raise ConsistencyError(
-                f"task {res.task.kind.value}/{res.task.flavor.value}: buckets hold "
-                f"{bucketed} graphs, domain {res.task.domain.value} has {res.domain_size}"
+                f"task {row.kind.value}/{row.flavor.value}: buckets hold "
+                f"{bucketed} graphs, domain {row.task.domain.value} has {row.domain_size}"
             )
-    return results, sizes
+    return rows, sizes
+
+
+def _source_lines(n, source):
+    """The bundled generator's lines for source None, else the file's ('-' = stdin)."""
+    return connected_graph6_lines(n) if source is None else _read_lines(source)
 
 
 def source_lines(spec):
     """Resolve the graph6 lines for a census spec."""
-    if spec.source is None:
-        return connected_graph6_lines(spec.n)
-    return _read_lines(spec.source)
+    return _source_lines(spec.n, spec.source)
 
 
 def run_census(spec, lines=None, jobs=None):
     """Execute a census and return one CensusRow per kind."""
     if lines is None:
         lines = source_lines(spec)
-    tasks = spec.tasks()
-    results, _ = sweep(spec.n, tasks, lines, jobs=jobs)
-    rows = []
-    for res in results:
-        with_mate = res.with_mate
-        uncertainty = (
-            Fraction(with_mate, res.domain_size) if res.domain_size else Fraction(0)
-        )
-        rows.append(
-            CensusRow(
-                kind=res.task.kind,
-                flavor=res.task.flavor,
-                n=spec.n,
-                domain_size=res.domain_size,
-                with_mate=with_mate,
-                uncertainty=uncertainty,
-            )
-        )
-    return rows
+    return sweep(spec.n, spec.tasks(), lines, jobs=jobs)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -355,16 +349,23 @@ def diff_paper(max_n=8, sources=None, jobs=None):
     published reference value.
 
     Cells with n above the bundled generator bound run only when sources
-    maps that n to a graph6 file path ('-' = stdin).
+    maps that n to a graph6 file path ('-' = stdin). Raises ValueError when
+    no cell has n <= max_n, or when sources names an n that no such cell
+    has, so a bound or a source that checks nothing is never a pass.
     """
     sources = sources or {}
     cells = [c for c in expected_tables() if c.n <= max_n]
+    if not cells:
+        raise ValueError(f"no table cell has n <= {max_n} (the smallest is n = {_GENERAL_NS[0]})")
+    unused = sorted(sources.keys() - {c.n for c in cells})
+    if unused:
+        raise ValueError(f"no table cell with n <= {max_n} uses the source for n = {unused[0]}")
     by_n = {}
     for cell in cells:
         if cell.n <= GENERATOR_MAX_N or cell.n in sources:
             by_n.setdefault(cell.n, []).append(cell)
-    for n in by_n.keys() & sources.keys():
-        with _open_source(sources[n]):  # fail now, not after the smaller n
+    for pathname in sources.values():
+        with _open_source(pathname):  # fail now, not after the smaller n
             pass
     out = []
     for n in sorted(by_n):
@@ -372,12 +373,8 @@ def diff_paper(max_n=8, sources=None, jobs=None):
         tasks = dict.fromkeys(
             CensusTask(c.kind, c.flavor, c.domain) for c in group if c.row != "domain-size"
         )
-        if n in sources:
-            lines = _read_lines(sources[n])
-        else:
-            lines = connected_graph6_lines(n)
-        results, sizes = sweep(n, tasks, lines, jobs=jobs)
-        by_task = dict(zip(tasks, results))
+        rows, sizes = sweep(n, tasks, _source_lines(n, sources.get(n)), jobs=jobs)
+        by_task = {r.task: r for r in rows}
         for cell in group:
             if cell.row == "domain-size":
                 actual = sizes[cell.domain]

@@ -5,9 +5,12 @@ calls the corresponding function, and prints its serialized value, so the
 output is byte-identical to serializing the library call directly.
 
 Exit codes: 0 success, 1 domain/input errors and unreadable files
-(one-line diagnostic on stderr), 2 usage errors, among them an unknown
-matrix kind, flavor or domain, whose message lists the accepted tokens.
-diff-paper exits 1 when any expected cell mismatches.
+(one-line diagnostic on stderr), among them a job count (--jobs or
+COSPEC_JOBS) below 1; 2 usage errors, among them an unknown matrix kind,
+flavor or domain, whose message lists the accepted tokens. diff-paper exits
+1 when any expected cell mismatches, when --max-n selects no cell and when
+a --graphs N names an n that no selected cell has; a repeated --graphs N is
+a usage error.
 """
 
 from __future__ import annotations
@@ -43,34 +46,32 @@ def format_bool(value):
     return "true" if value else "false"
 
 
-def format_census_row_csv(row):
-    return (
-        f"{row.kind.value},{row.flavor.value},{row.n},{row.domain_size},"
-        f"{row.with_mate},{row.uncertainty}"
-    )
+_ROW_FIELDS = ("kind", "flavor", "n", "domain_size", "with_mate", "uncertainty")
+
+
+def _row_values(row):
+    """The _ROW_FIELDS of one census row, by name, as JSON values."""
+    values = (row.kind.value, row.flavor.value, row.n, row.domain_size,
+              row.with_mate, str(row.uncertainty))
+    return dict(zip(_ROW_FIELDS, values))
 
 
 def census_rows_to_csv(rows):
-    header = "kind,flavor,n,domain_size,with_mate,uncertainty"
-    return "\n".join([header] + [format_census_row_csv(r) for r in rows])
+    lines = [",".join(_ROW_FIELDS)]
+    lines += [",".join(str(v) for v in _row_values(r).values()) for r in rows]
+    return "\n".join(lines)
 
 
 def census_rows_to_json(rows):
-    return json.dumps(
-        {
-            "rows": [
-                {
-                    "kind": r.kind.value,
-                    "flavor": r.flavor.value,
-                    "n": r.n,
-                    "domain_size": r.domain_size,
-                    "with_mate": r.with_mate,
-                    "uncertainty": str(r.uncertainty),
-                }
-                for r in rows
-            ]
-        }
-    )
+    return json.dumps({"rows": [_row_values(r) for r in rows]})
+
+
+def census_rows_to_text(rows):
+    return "\n".join(" ".join(f"{k}={v}" for k, v in _row_values(r).items()) for r in rows)
+
+
+_CENSUS_FORMATS = {"csv": census_rows_to_csv, "json": census_rows_to_json,
+                   "text": census_rows_to_text}
 
 
 def _token(enum, comma_list=False):
@@ -175,18 +176,7 @@ def _cmd_census(args, parser):
         flavor=args.flavor,
         source=args.input,
     )
-    rows = run_census(spec, jobs=args.jobs)
-    if args.format == "json":
-        print(census_rows_to_json(rows))
-    elif args.format == "text":
-        for r in rows:
-            print(
-                f"kind={r.kind.value} flavor={r.flavor.value} n={r.n} "
-                f"domain_size={r.domain_size} with_mate={r.with_mate} "
-                f"uncertainty={r.uncertainty}"
-            )
-    else:
-        print(census_rows_to_csv(rows))
+    print(_CENSUS_FORMATS[args.format](run_census(spec, jobs=args.jobs)))
     return 0
 
 
@@ -196,7 +186,10 @@ def _cmd_diff_paper(args, parser):
         n_text, _, pathname = item.partition("=")
         if not pathname or not n_text.strip().isdecimal():
             parser.error("--graphs expects N=FILE")
-        sources[int(n_text)] = pathname
+        n = int(n_text)
+        if n in sources:
+            parser.error(f"--graphs names n = {n} more than once")
+        sources[n] = pathname
     results = diff_paper(max_n=args.max_n, sources=sources, jobs=args.jobs)
     failures = 0
     for r in results:
@@ -290,7 +283,7 @@ def build_parser():
     p.add_argument(
         "--input", help="graph6 file, or - for stdin (default: bundled generator)"
     )
-    p.add_argument("--format", choices=("csv", "json", "text"), default="csv")
+    p.add_argument("--format", choices=tuple(_CENSUS_FORMATS), default="csv")
     p.add_argument("--jobs", type=int, default=None)
     p.set_defaults(func=_cmd_census)
 
@@ -309,10 +302,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except CospecError as exc:
-        print(f"cospec: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (CospecError, ValueError) as exc:
         print(f"cospec: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

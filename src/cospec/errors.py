@@ -15,8 +15,13 @@ class Graph6ParseError(CospecError, ValueError):
         if lineno is not None:
             detail = f"line {lineno}: {detail}"
         super().__init__(detail)
+        self.message = message
         self.offset = offset
         self.lineno = lineno
+
+    def at_line(self, lineno):
+        """This error, offset kept, at line lineno of batch input."""
+        return type(self)(self.message, self.offset, lineno)
 
 
 class UnsupportedSizeError(CospecError, ValueError):

@@ -313,7 +313,7 @@ def iter_graph6_lines(lines):
         try:
             yield lineno, parse_graph6(line)
         except Graph6ParseError as exc:
-            raise Graph6ParseError(str(exc), lineno=lineno) from exc
+            raise exc.at_line(lineno) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -558,13 +558,12 @@ def connected_graph6_lines(n):
 
 
 def generate_connected(n):
-    """Yield one representative per isomorphism class of connected graphs
-    on n vertices, in sorted canonical-key order, for
-    2 <= n <= GENERATOR_MAX_N."""
+    """Iterator over one representative per isomorphism class of connected
+    graphs on n vertices, in sorted canonical-key order, for
+    2 <= n <= GENERATOR_MAX_N; a size outside that range raises here."""
     if n < 2:
         raise UnsupportedSizeError(f"generate_connected needs n >= 2 (got {n})")
-    for line in connected_graph6_lines(n):
-        yield parse_graph6(line)
+    return map(parse_graph6, connected_graph6_lines(n))
 
 
 def _tree_center(n, rows):

@@ -291,3 +291,67 @@ def test_bucket_count_mismatch_raises_consistency_error(monkeypatch):
     task = CensusTask(K.ADJACENCY, F.SPECTRAL, D.CONNECTED)
     with pytest.raises(ConsistencyError, match="buckets hold 0 graphs"):
         sweep(4, [task], connected_graph6_lines(4), jobs=1)
+
+
+def test_census_row_is_the_sweep_row():
+    # run_census returns sweep's rows; with_mate and uncertainty derive
+    # from the buckets, which stay out of repr and hash
+    spec = CensusSpec(5, D.CONNECTED, (K.SIGNLESS_LAPLACIAN,), F.GEN_SPECTRAL)
+    rows, _ = sweep(5, spec.tasks(), connected_graph6_lines(5), jobs=1)
+    assert run_census(spec, jobs=1) == rows
+    row = rows[0]
+    assert (row.task, row.kind, row.flavor) == (spec.tasks()[0], K.SIGNLESS_LAPLACIAN, F.GEN_SPECTRAL)
+    assert row.with_mate == sum(c for c in row.buckets.values() if c >= 2) == 2
+    assert row.uncertainty == Fraction(2, 21)
+    assert "buckets" not in repr(row) and hash(row) == hash(run_census(spec, jobs=1)[0])
+    empty = run_census(spec, lines=[], jobs=1)[0]
+    assert (empty.domain_size, empty.with_mate, empty.uncertainty) == (0, 0, Fraction(0))
+
+
+def test_diff_paper_refuses_a_bound_that_selects_no_cell():
+    for max_n in (3, 0, -1):
+        with pytest.raises(ValueError, match=f"no table cell has n <= {max_n}"):
+            diff_paper(max_n=max_n)
+
+
+def test_diff_paper_refuses_an_unused_source(tmp_path, monkeypatch):
+    # the n = 11 source is refused before any file is opened or swept
+    import cospec.census as census
+
+    swept = []
+    monkeypatch.setattr(census, "sweep", lambda *args, **kw: swept.append(args))
+    missing = tmp_path / "missing.g6"
+    for sources in ({11: str(missing)}, {4: "-", 5: str(missing)}):
+        with pytest.raises(ValueError, match="no table cell with n <= 4 uses the source for n ="):
+            diff_paper(max_n=4, sources=sources)
+    assert swept == []
+
+
+def test_job_count_must_be_positive(monkeypatch):
+    from cospec.census import default_jobs
+
+    lines = connected_graph6_lines(4)
+    task = CensusTask(K.ADJACENCY, F.SPECTRAL, D.CONNECTED)
+    for jobs in (0, -4):
+        with pytest.raises(ValueError, match=f"jobs must be at least 1 \\(got {jobs}\\)"):
+            sweep(4, [task], lines, jobs=jobs)
+    for env in ("0", "-2", "abc"):
+        monkeypatch.setenv("COSPEC_JOBS", env)
+        with pytest.raises(ValueError, match=f"COSPEC_JOBS must be a positive integer \\(got '{env}'\\)"):
+            default_jobs()
+        with pytest.raises(ValueError, match="COSPEC_JOBS"):
+            sweep(4, [task], lines)
+    monkeypatch.setenv("COSPEC_JOBS", "2")
+    assert default_jobs() == 2
+
+
+def test_census_parse_errors_keep_byte_offset():
+    # the line number is added to the parser's error, which keeps its byte
+    # offset, also when the error crosses the worker pickle at jobs = 2
+    spec = CensusSpec(5, D.CONNECTED, (K.ADJACENCY,), F.SPECTRAL)
+    lines = list(connected_graph6_lines(5))
+    bad = lines[:15] + ["D?!"] + lines[15:]
+    for jobs in (1, 2):
+        exc = pytest.raises(Graph6ParseError, run_census, spec, lines=bad, jobs=jobs).value
+        assert (exc.lineno, exc.offset) == (16, 2)
+        assert str(exc) == "line 16: data byte 33 outside [63, 126] (byte offset 2)"

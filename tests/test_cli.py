@@ -304,3 +304,33 @@ def test_indented_header_and_crlf_agree_across_commands(tmp_path, capsys):
     ]
     counts = Counter(keys)
     assert len(keys) == 21 and sum(c for c in counts.values() if c >= 2) == 2
+
+
+def test_diff_paper_must_check_something(tmp_path, capsys):
+    # a bound below the smallest table and a source no selected cell uses
+    # are one-line errors; the unused file is never opened
+    missing = tmp_path / "missing.g6"
+    for argv, want in [
+        (("--max-n", "3"), "cospec: no table cell has n <= 3 (the smallest is n = 4)\n"),
+        (("--max-n", "4", "--graphs", f"11={missing}"),
+         "cospec: no table cell with n <= 4 uses the source for n = 11\n"),
+    ]:
+        code, out, err = run_cli(capsys, "diff-paper", *argv)
+        assert (code, out, err) == (1, "", want)
+
+
+def test_diff_paper_repeated_graphs_n_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["diff-paper", "--max-n", "4", "--graphs", "4=a", "--graphs", "4=b"])
+    assert exc.value.code == 2
+    assert "--graphs names n = 4 more than once" in capsys.readouterr().err
+
+
+def test_job_count_below_one_is_one_line_error(capsys, monkeypatch):
+    census = ("census", "--n", "4", "--domain", "connected", "--kind", "a", "--flavor", "spectral")
+    for jobs in ("0", "-4"):
+        code, out, err = run_cli(capsys, *census, "--jobs", jobs)
+        assert (code, out, err) == (1, "", f"cospec: jobs must be at least 1 (got {jobs})\n")
+    monkeypatch.setenv("COSPEC_JOBS", "0")
+    code, out, err = run_cli(capsys, *census)
+    assert (code, out, err) == (1, "", "cospec: COSPEC_JOBS must be a positive integer (got '0')\n")

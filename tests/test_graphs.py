@@ -412,3 +412,18 @@ def test_iter_graph6_lines_reports_line_numbers():
         Graph6ParseError, lambda: list(iter_graph6_lines(["C~", "C!!"]))
     ).value
     assert "line 2" in str(exc)
+
+
+def test_iter_graph6_lines_errors_keep_byte_offset():
+    exc = pytest.raises(
+        Graph6ParseError, lambda: list(iter_graph6_lines(["C~", "C!!"]))
+    ).value
+    assert (exc.lineno, exc.offset) == (2, 2)
+    assert str(exc) == "line 2: trailing garbage after graph6 data (byte offset 2)"
+
+
+def test_generate_connected_checks_bounds_at_call():
+    # a plain function: the bounds fail at the call, with no next()
+    for n in (0, 1, 10):
+        with pytest.raises(UnsupportedSizeError):
+            generate_connected(n)
