@@ -177,16 +177,22 @@ def default_jobs():
     return os.cpu_count() or 1
 
 
+def _job_count(jobs):
+    """default_jobs() for None; below 1 is a ValueError. Resolved before any input is read."""
+    if jobs is None:
+        jobs = default_jobs()
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1 (got {jobs})")
+    return jobs
+
+
 def sweep(n, tasks, lines, jobs=None):
     """Run every task over a sequence of graph6 lines in one pass.
 
     Returns (list of CensusRow aligned with tasks, domain size dict).
     """
     tasks = list(tasks)
-    if jobs is None:
-        jobs = default_jobs()
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1 (got {jobs})")
+    jobs = _job_count(jobs)
     if jobs > 1:
         chunk_size = max(1, min(250, (len(lines) + 2 * jobs - 1) // (2 * jobs)))
     else:
@@ -227,6 +233,7 @@ def source_lines(spec):
 
 def run_census(spec, lines=None, jobs=None):
     """Execute a census and return one CensusRow per kind."""
+    jobs = _job_count(jobs)
     if lines is None:
         lines = source_lines(spec)
     return sweep(spec.n, spec.tasks(), lines, jobs=jobs)[0]
@@ -345,14 +352,16 @@ class DiffResult:
 
 
 def diff_paper(max_n=8, sources=None, jobs=None):
-    """Recompute every runnable expected cell and diff it against the
+    """Recompute every expected cell with n <= max_n and diff it against the
     published reference value.
 
-    Cells with n above the bundled generator bound run only when sources
-    maps that n to a graph6 file path ('-' = stdin). Raises ValueError when
-    no cell has n <= max_n, or when sources names an n that no such cell
-    has, so a bound or a source that checks nothing is never a pass.
+    Cells with n above the bundled generator bound need sources to map
+    that n to a graph6 file path ('-' = stdin). Raises ValueError before
+    any input is read when no cell has n <= max_n, when sources names an n
+    that no such cell has, or when such a cell has no source, so a run
+    that skips a cell or a source that checks nothing is never a pass.
     """
+    jobs = _job_count(jobs)
     sources = sources or {}
     cells = [c for c in expected_tables() if c.n <= max_n]
     if not cells:
@@ -360,10 +369,13 @@ def diff_paper(max_n=8, sources=None, jobs=None):
     unused = sorted(sources.keys() - {c.n for c in cells})
     if unused:
         raise ValueError(f"no table cell with n <= {max_n} uses the source for n = {unused[0]}")
+    missing = sorted({c.n for c in cells if c.n > GENERATOR_MAX_N} - sources.keys())
+    if missing:
+        raise ValueError(f"no source for the n = {missing[0]} cells; "
+                         f"the bundled generator stops at n = {GENERATOR_MAX_N}")
     by_n = {}
     for cell in cells:
-        if cell.n <= GENERATOR_MAX_N or cell.n in sources:
-            by_n.setdefault(cell.n, []).append(cell)
+        by_n.setdefault(cell.n, []).append(cell)
     for pathname in sources.values():
         with _open_source(pathname):  # fail now, not after the smaller n
             pass

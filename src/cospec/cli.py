@@ -8,9 +8,10 @@ Exit codes: 0 success, 1 domain/input errors and unreadable files
 (one-line diagnostic on stderr), among them a job count (--jobs or
 COSPEC_JOBS) below 1; 2 usage errors, among them an unknown matrix kind,
 flavor or domain, whose message lists the accepted tokens. diff-paper exits
-1 when any expected cell mismatches, when --max-n selects no cell and when
-a --graphs N names an n that no selected cell has; a repeated --graphs N is
-a usage error.
+1 when any expected cell mismatches, when --max-n selects no cell, when a
+--graphs N names an n that no selected cell has and when a selected n above
+the bundled generator's bound has no --graphs N; a repeated --graphs N is a
+usage error.
 """
 
 from __future__ import annotations

@@ -185,33 +185,23 @@ def tree_snf(t):
 
 @lru_cache(maxsize=None)
 def _edge_sides(tree):
-    """For each tree edge, the bitset of vertices on its far side from
-    vertex 0: one search from vertex 0, and edge (parent(v), v) gets the
-    subtree of v."""
-    parent = [-1] * tree.n
-    order = [0]
-    seen = 1
-    for u in order:
-        r = tree.rows[u] & ~seen
-        seen |= r
-        while r:
-            w = (r & -r).bit_length() - 1
-            r &= r - 1
-            parent[w] = u
-            order.append(w)
-    below = [1 << v for v in range(tree.n)]
-    for v in reversed(order[1:]):
-        below[parent[v]] |= below[v]
-    return tuple(below[v] for v in order[1:])
+    """For each tree edge (u, v), the bitset of vertices nearer to v than to
+    u, read from the tree's distance matrix: the side of v once the edge is
+    cut."""
+    dist = distance_data(tree).dist
+    return tuple(
+        sum(1 << w for w in range(tree.n) if dist[v][w] < dist[u][w])
+        for u, v in tree.edges()
+    )
 
 
 def rho(t, U):
     """Number of (|U|-1)-subsets of tree edges meeting every path between
     distinct vertices of U. Brute force over edge subsets.
 
-    An edge lies on the u-v path exactly when it separates u and v, so each
-    edge gets the bitset of the pairs of U that it separates, and a subset
-    counts when the union of its bitsets holds every pair.
+    An edge lies on the u-v path exactly when u and v lie on different sides
+    of it, so each edge gets the bitset of the pairs of U that it separates,
+    and a subset counts when the union of its bitsets holds every pair.
     """
     verts = sorted(set(U))
     if not verts:

@@ -58,21 +58,15 @@ class Graph:
         return bool((self.rows[u] >> v) & 1)
 
     def degrees(self):
-        return tuple(bin(r).count("1") for r in self.rows)
+        return tuple(r.bit_count() for r in self.rows)
 
     @property
     def edge_count(self):
-        return sum(bin(r).count("1") for r in self.rows) // 2
+        return sum(r.bit_count() for r in self.rows) // 2
 
     def edges(self):
-        for u in range(self.n):
-            r = self.rows[u] >> (u + 1)
-            v = u + 1
-            while r:
-                if r & 1:
-                    yield (u, v)
-                r >>= 1
-                v += 1
+        n, rows = self.n, self.rows
+        return ((u, v) for u in range(n) for v in range(u + 1, n) if rows[u] >> v & 1)
 
     def is_connected(self):
         return _connected(self.rows, (1 << self.n) - 1)
@@ -198,35 +192,29 @@ def parse_graph6(s):
         raise Graph6ParseError(
             "trailing garbage after graph6 data", offset=start + nbytes
         )
-    rows = [0] * n
-    pairs = _PAIR_CACHE(n)
-    bitpos = 0
+    acc = 0
     for k in range(start, start + nbytes):
         b = ord(s[k])
         if not 63 <= b <= 126:
             raise Graph6ParseError(f"data byte {b} outside [63, 126]", offset=k)
-        group = b - 63
-        for t in range(5, -1, -1):
-            bit = (group >> t) & 1
-            if bitpos < nbits:
-                if bit:
-                    # column-major order: bit index -> pair (u, v)
-                    u, v = pairs[bitpos]
-                    rows[u] |= 1 << v
-                    rows[v] |= 1 << u
-            elif bit:
-                raise Graph6ParseError("nonzero padding bit", offset=k)
-            bitpos += 1
+        acc = (acc << 6) | (b - 63)
+    pad = 6 * nbytes - nbits  # the padding bits all sit in the last byte
+    if acc & ((1 << pad) - 1):
+        raise Graph6ParseError("nonzero padding bit", offset=start + nbytes - 1)
+    acc >>= pad
+    # the columns of _graph6, last first: column v holds the pairs
+    # (0, v), ..., (v - 1, v), the first one most significant
+    rows = [0] * n
+    for v in range(n - 1, 0, -1):
+        c = acc & ((1 << v) - 1)
+        acc >>= v
+        while c:
+            low = c & -c
+            c ^= low
+            u = v - low.bit_length()
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
     return Graph(n, tuple(rows))
-
-
-@lru_cache(maxsize=None)
-def _PAIR_CACHE(n):
-    pairs = []
-    for v in range(1, n):
-        for u in range(v):
-            pairs.append((u, v))
-    return tuple(pairs)
 
 
 def write_graph6(g):
@@ -342,40 +330,31 @@ def distance_data(g):
     connected = True
     for s in range(n):
         drow = [UNREACHABLE] * n
-        drow[s] = 0
-        seen = 1 << s
-        frontier = 1 << s
+        seen = frontier = 1 << s
         d = 0
         while frontier:
-            d += 1
             nxt = 0
-            f = frontier
-            while f:
-                v = (f & -f).bit_length() - 1
-                f &= f - 1
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                v = low.bit_length() - 1
+                drow[v] = d
                 nxt |= rows[v]
             frontier = nxt & ~seen
             seen |= frontier
-            f = frontier
-            while f:
-                v = (f & -f).bit_length() - 1
-                f &= f - 1
-                drow[v] = d
-        if seen != full:
-            connected = False
+            d += 1
+        connected = connected and seen == full
         dist.append(tuple(drow))
-    deg = tuple(bin(r).count("1") for r in rows)
+    deg = tuple(r.bit_count() for r in rows)
+    trs = diameter = None
     if connected:
         trs = tuple(sum(row) for row in dist)
         diameter = max(max(row) for row in dist)
-    else:
-        trs = None
-        diameter = None
     return DistanceData(tuple(dist), trs, deg, diameter, connected)
 
 
 # ---------------------------------------------------------------------------
-# canonical keys (brute-force bound, exact minimum over all relabelings)
+# canonical keys (exact minimum graph6 form over all relabelings)
 
 
 def _is_twin(rows, u, v):
@@ -460,12 +439,13 @@ def _canonical_g6(n, rows):
 def canonical_key(g):
     """Minimum graph6 string over all vertex relabelings, as bytes.
 
-    Equal keys hold exactly for isomorphic graphs. Brute-force search,
-    bounded at n = CANONICAL_MAX_N.
+    Equal keys hold exactly for isomorphic graphs. Twin-pruned level search
+    (_canonical_columns), bounded at n = CANONICAL_MAX_N; n = 8 is where the
+    tests compare it with a brute-force minimum.
     """
     if g.n > CANONICAL_MAX_N:
         raise UnsupportedSizeError(
-            f"canonical keys use brute-force search, supported up to "
+            f"canonical keys use the twin-pruned level search, supported up to "
             f"n = {CANONICAL_MAX_N} (got {g.n})"
         )
     return _canonical_g6(g.n, g.rows).encode("ascii")
@@ -528,7 +508,7 @@ def connected_graph6_lines(n):
     full = (1 << n) - 1
     for line in prev:
         brows = parse_graph6(line).rows
-        bdeg = [bin(r).count("1") for r in brows]
+        bdeg = [r.bit_count() for r in brows]
         for mask in _sorted_masks(m, brows):
             rows = list(brows)
             deg = list(bdeg)
@@ -539,7 +519,7 @@ def connected_graph6_lines(n):
                 rows[u] |= bit
                 deg[u] += 1
             rows.append(mask)
-            d = bin(mask).count("1")
+            d = mask.bit_count()
             deg.append(d)
             inv = None
             for v in range(m):
@@ -567,7 +547,7 @@ def generate_connected(n):
 
 
 def _tree_center(n, rows):
-    deg = [bin(r).count("1") for r in rows]
+    deg = [r.bit_count() for r in rows]
     alive = list(range(n))
     removed = [False] * n
     while len(alive) > 2:

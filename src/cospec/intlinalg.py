@@ -22,6 +22,7 @@ from .polynomials import (
     pmonic,
     pmul,
     pprimitive,
+    pstr,
     psub,
     trim,
 )
@@ -256,8 +257,6 @@ class RationalPolyDivisors:
     g: tuple  # tuple of tuples of Fraction, each ascending, monic or empty
 
     def __str__(self):
-        from .polynomials import pstr
-
         return "; ".join(pstr(gk) if gk else "0" for gk in self.g)
 
 

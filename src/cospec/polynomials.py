@@ -114,7 +114,7 @@ def pmonic(a):
     return tuple(Fraction(c, lead) for c in a)
 
 
-def pstr(a, var="x"):
+def pstr(a):
     """Human-readable rendering, highest degree first."""
     a = trim(a)
     if not a:
@@ -129,9 +129,9 @@ def pstr(a, var="x"):
         if d == 0:
             body = str(mag)
         elif d == 1:
-            body = f"{var}" if mag == 1 else f"{mag}*{var}"
+            body = "x" if mag == 1 else f"{mag}*x"
         else:
-            body = f"{var}^{d}" if mag == 1 else f"{mag}*{var}^{d}"
+            body = f"x^{d}" if mag == 1 else f"{mag}*x^{d}"
         parts.append((sign, body))
     first_sign, first_body = parts[0]
     text = (first_sign if first_sign == "-" else "") + first_body

@@ -327,6 +327,52 @@ def test_diff_paper_refuses_an_unused_source(tmp_path, monkeypatch):
     assert swept == []
 
 
+def test_diff_paper_refuses_cells_without_a_source(tmp_path, monkeypatch):
+    # a cell above the bundled generator's bound with no source is refused
+    # before any file is opened or swept, not dropped from the run
+    import cospec.census as census
+
+    swept = []
+    monkeypatch.setattr(census, "sweep", lambda *args, **kw: swept.append(args))
+    missing = tmp_path / "missing.g6"
+    for max_n, sources, n in ((10, None, 10), (11, {10: str(missing)}, 11), (11, {11: "-"}, 10)):
+        with pytest.raises(ValueError) as exc:
+            diff_paper(max_n=max_n, sources=sources)
+        assert str(exc.value) == f"no source for the n = {n} cells; the bundled generator stops at n = 9"
+    assert swept == []
+    # with a source for every such n, every selected cell runs
+    empty = tmp_path / "empty.g6"
+    empty.write_bytes(b"")
+    read = []
+    monkeypatch.setattr(census, "_source_lines", lambda n, source: read.append((n, source)) or [])
+    monkeypatch.setattr(census, "sweep", sweep)
+    results = diff_paper(max_n=11, sources={10: str(empty), 11: str(empty)}, jobs=1)
+    cells = [c for c in expected_tables() if c.n <= 11]
+    assert len(results) == len(cells) == 252 and {r.cell for r in results} == set(cells)
+    assert read == [(n, None) for n in range(4, 10)] + [(10, str(empty)), (11, str(empty))]
+
+
+def test_job_count_is_checked_before_any_input(tmp_path, monkeypatch):
+    import cospec.census as census
+
+    def unread(n, source):
+        raise AssertionError(f"input for n = {n} read before the job count was checked")
+
+    monkeypatch.setattr(census, "_source_lines", unread)
+    missing = str(tmp_path / "missing.g6")
+    spec = CensusSpec(4, D.CONNECTED, (K.ADJACENCY,), F.SPECTRAL, source=missing)
+    for call in (
+        lambda: diff_paper(max_n=4, jobs=0),
+        lambda: diff_paper(max_n=10, sources={10: missing}, jobs=0),
+        lambda: run_census(spec, jobs=0),
+    ):
+        with pytest.raises(ValueError, match="jobs must be at least 1 \\(got 0\\)"):
+            call()
+    monkeypatch.setenv("COSPEC_JOBS", "0")
+    with pytest.raises(ValueError, match="COSPEC_JOBS must be a positive integer"):
+        run_census(spec)
+
+
 def test_job_count_must_be_positive(monkeypatch):
     from cospec.census import default_jobs
 

@@ -326,6 +326,41 @@ def test_diff_paper_repeated_graphs_n_is_usage_error(capsys):
     assert "--graphs names n = 4 more than once" in capsys.readouterr().err
 
 
+def test_diff_paper_refuses_cells_without_a_source(tmp_path, monkeypatch, capsys):
+    # above n = 9 every selected n needs a --graphs N=FILE; the refusal is
+    # one line, before any file is opened or swept
+    swept = []
+    monkeypatch.setattr("cospec.census.sweep", lambda *args, **kw: swept.append(args))
+    missing = tmp_path / "missing.g6"
+    for argv, n in [(("--max-n", "10"), 10), (("--max-n", "11", "--graphs", f"10={missing}"), 11)]:
+        code, out, err = run_cli(capsys, "diff-paper", *argv)
+        want = f"cospec: no source for the n = {n} cells; the bundled generator stops at n = 9\n"
+        assert (code, out, err, swept) == (1, "", want, [])
+
+
+def test_diff_paper_with_a_source_above_the_generator_runs(tmp_path, monkeypatch, capsys):
+    # the README's --max-n 10 --graphs 10=FILE: every cell with n <= 10
+    # runs; the inputs are stubbed empty, so only the zero cells pass
+    read = []
+    monkeypatch.setattr("cospec.census._source_lines", lambda n, source: read.append((n, source)) or [])
+    src = tmp_path / "graphs10.g6"
+    src.write_bytes(b"")
+    code, out, err = run_cli(capsys, "diff-paper", "--max-n", "10", "--graphs", f"10={src}", "--jobs", "1")
+    lines = out.splitlines()
+    assert (code, err) == (1, "") and len(lines) == 239
+    assert lines[-1] == f"238 cells, {sum(line.startswith('FAIL') for line in lines)} mismatches"
+    assert read == [(n, None) for n in range(4, 10)] + [(10, str(src))]
+
+
+def test_job_count_is_checked_before_the_input_is_read(tmp_path, capsys):
+    missing = tmp_path / "missing.g6"
+    want = (1, "", "cospec: jobs must be at least 1 (got 0)\n")
+    census = ("census", "--n", "4", "--domain", "connected", "--kind", "a", "--flavor", "spectral")
+    assert run_cli(capsys, *census, "--input", str(missing), "--jobs", "0") == want
+    diff = ("diff-paper", "--max-n", "10", "--graphs", f"10={missing}")
+    assert run_cli(capsys, *diff, "--jobs", "0") == want
+
+
 def test_job_count_below_one_is_one_line_error(capsys, monkeypatch):
     census = ("census", "--n", "4", "--domain", "connected", "--kind", "a", "--flavor", "spectral")
     for jobs in ("0", "-4"):

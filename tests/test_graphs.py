@@ -88,6 +88,25 @@ def test_parse_rejects_nonzero_padding():
     assert parse_graph6("A" + chr(63 + 32)) == complete(2)
 
 
+def test_parse_padding_error_names_the_last_data_byte():
+    # the padding bits all sit in the last data byte, so every nonzero one
+    # is reported there; a bad data byte earlier in the line wins
+    for n in (2, 7, 63):
+        line = write_graph6(empty(n))
+        start, last = (1 if n <= 62 else 4), len(line) - 1
+        pad = (-(n * (n - 1) // 2)) % 6
+        assert pad
+        for i in range(pad):
+            bad = line[:last] + chr(63 + (1 << i))
+            exc = pytest.raises(Graph6ParseError, parse_graph6, bad).value
+            assert (str(exc), exc.offset) == (f"nonzero padding bit (byte offset {last})", last)
+            worse = bad[:start] + "!" + bad[start + 1:]
+            exc = pytest.raises(Graph6ParseError, parse_graph6, worse).value
+            assert (str(exc), exc.offset) == (f"data byte 33 outside [63, 126] (byte offset {start})", start)
+    # n = 4 fills its one data byte exactly: the low bit is the pair (2, 3)
+    assert parse_graph6("C" + chr(63 + 1)) == from_edges(4, [(2, 3)])
+
+
 def test_write_size_bound():
     # the one-byte size stops at 62: header byte 126 ('~') starts the long
     # form, which covers the rest of Graph's 64 vertices
@@ -195,6 +214,34 @@ def test_distance_one_iff_adjacent():
             for v in range(6):
                 assert (dd.dist[u][v] == 1) == g.has_edge(u, v)
                 assert dd.dist[u][v] == dd.dist[v][u]
+
+
+def test_distance_data_matches_networkx():
+    # every connected graph with n <= 7 and its complement, disconnected
+    # ones included: an unreachable pair is -1, trs and diameter None
+    nx = pytest.importorskip("networkx")
+    disconnected = 0
+    for n in range(1, 8):
+        for line in connected_graph6_lines(n):
+            g = parse_graph6(line)
+            for h in (g, complement(g)):
+                ref = nx.Graph()
+                ref.add_nodes_from(range(n))
+                ref.add_edges_from(h.edges())
+                lengths = dict(nx.all_pairs_shortest_path_length(ref))
+                dd = distance_data(h)
+                assert dd.dist == tuple(
+                    tuple(lengths[u].get(v, -1) for v in range(n)) for u in range(n)
+                )
+                assert dd.deg == tuple(d for _, d in sorted(ref.degree()))
+                assert dd.connected == nx.is_connected(ref)
+                if dd.connected:
+                    assert dd.trs == tuple(sum(lengths[u].values()) for u in range(n))
+                    assert dd.diameter == nx.diameter(ref)
+                else:
+                    disconnected += 1
+                    assert dd.trs is None and dd.diameter is None
+    assert disconnected > 0
 
 
 def test_handshake():
