@@ -1,5 +1,7 @@
-"""Streaming census engine over graph6 sources.
+"""Census engine over graph6 sources.
 
+Each data line is one unit of work, sent to the workers in batches; the
+main process adds each line's domain flags and keys to the totals once.
 Graphs are bucketed by exact fingerprint byte keys; a graph "has a mate"
 when its bucket holds at least two graphs, so with_mate is the sum of the
 sizes of all buckets of size >= 2. Buckets store counts only, never whole
@@ -15,7 +17,6 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from itertools import islice
 from multiprocessing import Pool
 
 from .errors import CensusInputError, ConsistencyError, Graph6ParseError
@@ -115,8 +116,10 @@ class CensusRow:
 # per-graph fingerprint computation shared by all tasks of a sweep
 
 
-def _graph_task_keys(n, tasks, fns, lineno, line):
-    """(task_index, key) pairs plus domain membership flags for one line."""
+def _graph_task_keys(n, tasks, numbered):
+    """Domain membership flags and (task_index, key) pairs of one
+    (lineno, line); None for a line outside every domain."""
+    lineno, line = numbered
     try:
         g = parse_graph6(line)
     except Graph6ParseError as exc:
@@ -135,7 +138,9 @@ def _graph_task_keys(n, tasks, fns, lineno, line):
         and dd.diameter == 2
         and cdd.diameter == 2,
     }
-    blocks = _Blocks(((g, dd), (cg, cdd)), *fns)
+    # the block functions are read from this module per line, so that
+    # patched attributes apply
+    blocks = _Blocks(((g, dd), (cg, cdd)), build_matrix, charpoly_coeffs, snf_diagonal)
     out = []
     for ti, task in enumerate(tasks):
         if member[task.domain]:
@@ -143,25 +148,6 @@ def _graph_task_keys(n, tasks, fns, lineno, line):
             ints = [blocks.block(op, kind, side) for op, side in task.flavor.components]
             out.append((ti, compose_key(kind, task.flavor, ints)))
     return member, out
-
-
-def _sweep_chunk(n, tasks, chunk):
-    """Domain sizes and per-task key counts of one chunk of (lineno, line)."""
-    # read from the module at call time, so that patched attributes apply
-    fns = (build_matrix, charpoly_coeffs, snf_diagonal)
-    counters = [Counter() for _ in tasks]
-    sizes = {d: 0 for d in Domain}
-    for lineno, line in chunk:
-        res = _graph_task_keys(n, tasks, fns, lineno, line)
-        if res is None:
-            continue
-        member, keys = res
-        for d in Domain:
-            if member[d]:
-                sizes[d] += 1
-        for ti, key in keys:
-            counters[ti][key] += 1
-    return sizes, counters
 
 
 def default_jobs():
@@ -193,23 +179,24 @@ def sweep(n, tasks, lines, jobs=None):
     """
     tasks = list(tasks)
     jobs = _job_count(jobs)
-    if jobs > 1:
-        chunk_size = max(1, min(250, (len(lines) + 2 * jobs - 1) // (2 * jobs)))
-    else:
-        chunk_size = 250
+    # batches of at most 250 lines, about two or more per worker, and never
+    # more workers than batches
+    chunk_size = max(1, min(250, (len(lines) + 2 * jobs - 1) // (2 * jobs)))
+    workers = min(jobs, (len(lines) + chunk_size - 1) // chunk_size)
     numbered = _data_lines(lines)
-    chunks = iter(lambda: list(islice(numbered, chunk_size)), [])
-    work = partial(_sweep_chunk, n, tasks)
+    work = partial(_graph_task_keys, n, tasks)
     buckets = [Counter() for _ in tasks]
     sizes = {d: 0 for d in Domain}
-    with Pool(jobs) if jobs > 1 and len(lines) > chunk_size else nullcontext() as pool:
-        for chunk_sizes, counters in (
-            pool.imap_unordered(work, chunks) if pool else map(work, chunks)
-        ):
-            for d, v in chunk_sizes.items():
-                sizes[d] += v
-            for total, counter in zip(buckets, counters):
-                total.update(counter)
+    with Pool(workers) if workers > 1 else nullcontext() as pool:
+        for res in pool.imap_unordered(work, numbered, chunk_size) if pool else map(work, numbered):
+            if res is None:
+                continue
+            member, keys = res
+            for d in Domain:
+                if member[d]:
+                    sizes[d] += 1
+            for ti, key in keys:
+                buckets[ti][key] += 1
     rows = [CensusRow(t, n, sizes[t.domain], b) for t, b in zip(tasks, buckets)]
     for row in rows:
         bucketed = sum(row.buckets.values())

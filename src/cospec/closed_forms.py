@@ -71,72 +71,45 @@ def _check_tree_size(t):
         )
 
 
-def _enumerate_two_matchings(g, visit):
-    """DFS over all 2-matchings of the looped tree; visit(edges, loops)."""
-    items = [("e", e) for e in g.edges()] + [("l", v) for v in range(g.n)]
-    inc = [0] * g.n
-    chosen_e = []
-    chosen_l = []
+def _two_matchings(g):
+    """Every 2-matching of the looped graph g as (edges, loops): each edge
+    set with at most two edges at any vertex, built edge by edge with the
+    bitsets of the vertices covered once and twice, together with every
+    subset of its uncovered vertices as the loops."""
+    edges = list(g.edges())
 
-    def rec(i):
-        if i == len(items):
-            visit(chosen_e, chosen_l)
+    def walk(i, chosen, once, twice):
+        if i == len(edges):
+            free = [v for v in range(g.n) if not (once | twice) >> v & 1]
+            for r in range(len(free) + 1):
+                for loops in combinations(free, r):
+                    yield chosen, loops
             return
-        kind, item = items[i]
-        rec(i + 1)
-        if kind == "e":
-            u, v = item
-            if inc[u] < 2 and inc[v] < 2:
-                inc[u] += 1
-                inc[v] += 1
-                chosen_e.append(item)
-                rec(i + 1)
-                chosen_e.pop()
-                inc[u] -= 1
-                inc[v] -= 1
-        else:
-            if inc[item] == 0:
-                inc[item] = 2
-                chosen_l.append(item)
-                rec(i + 1)
-                chosen_l.pop()
-                inc[item] = 0
+        yield from walk(i + 1, chosen, once, twice)
+        u, v = edges[i]
+        ends = 1 << u | 1 << v
+        if not ends & twice:
+            yield from walk(i + 1, chosen + (edges[i],), once ^ ends, twice | once & ends)
 
-    rec(0)
+    return walk(0, (), 0, 0)
 
 
 def minimal_two_matchings(t, k):
     """All size-k 2-matchings of the looped tree achieving the minimum loop
     count among size-k 2-matchings."""
     _check_tree_size(t)
-    found = []
-    best = [None]
-
-    def visit(chosen_e, chosen_l):
-        if len(chosen_e) + len(chosen_l) != k:
-            return
-        loops = len(chosen_l)
-        if best[0] is None or loops < best[0]:
-            best[0] = loops
-            found.clear()
-        if loops == best[0]:
-            found.append(
-                TwoMatching(frozenset(chosen_e), frozenset(chosen_l))
-            )
-
-    _enumerate_two_matchings(t.tree, visit)
-    return found
+    sized = [(e, loops) for e, loops in _two_matchings(t.tree) if len(e) + len(loops) == k]
+    fewest = min((len(loops) for _, loops in sized), default=0)
+    return [
+        TwoMatching(frozenset(e), frozenset(loops)) for e, loops in sized if len(loops) == fewest
+    ]
 
 
 def _loop_sets_by_size(g):
     """size -> set of looped-vertex frozensets over all 2-matchings."""
     table = {}
-
-    def visit(chosen_e, chosen_l):
-        size = len(chosen_e) + len(chosen_l)
-        table.setdefault(size, set()).add(frozenset(chosen_l))
-
-    _enumerate_two_matchings(g, visit)
+    for edges, loops in _two_matchings(g):
+        table.setdefault(len(edges) + len(loops), set()).add(frozenset(loops))
     return table
 
 

@@ -89,6 +89,55 @@ def test_worker_pool_matches_serial_diam2():
     assert serial[0].domain_size == 2
 
 
+def test_pool_never_has_more_workers_than_batches(monkeypatch):
+    # a fake Pool that records its process count and maps serially: jobs 64
+    # on the 21 lines at n = 5 makes 21 one-line batches, so 21 processes
+    import cospec.census as census
+
+    asked = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            asked.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap_unordered(self, func, iterable, chunksize=1):
+            return map(func, iterable)
+
+    monkeypatch.setattr(census, "Pool", SerialPool)
+    spec = CensusSpec(5, D.CONNECTED, (K.ADJACENCY, K.SIGNLESS_LAPLACIAN), F.GEN_INVARIANT)
+    serial = run_census(spec, jobs=1)
+    assert asked == []
+    assert run_census(spec, jobs=64) == serial
+    assert run_census(spec, jobs=2) == serial
+    assert asked == [21, 2]
+
+
+def test_worker_pool_on_mixed_input():
+    # header, comment, blank and disconnected lines reach the Pool in more
+    # than one batch (4 at jobs 2, 6 at jobs 3) and change nothing
+    from cospec.graphs import cycle, disjoint_union, empty, path, write_graph6
+
+    disconnected = [empty(6), disjoint_union(cycle(3), cycle(3)), disjoint_union(path(5), empty(1))]
+    connected = list(connected_graph6_lines(6))
+    lines = [">>graph6<<", "> six vertices", ""]
+    lines += connected[:50] + [write_graph6(g) for g in disconnected] + ["  "] + connected[50:]
+    cells = [c for c in expected_tables() if c.n == 6 and c.row != "domain-size"]
+    tasks = list(dict.fromkeys(CensusTask(c.kind, c.flavor, c.domain) for c in cells))
+    rows, sizes = sweep(6, tasks, lines, jobs=1)
+    assert sizes == {D.CONNECTED: 112, D.CONNECTED_COMPLEMENT: 68, D.DIAM2_PAIR: 2}
+    by_task = {r.task: r.with_mate for r in rows}
+    for cell in cells:
+        assert by_task[CensusTask(cell.kind, cell.flavor, cell.domain)] == cell.value
+    for jobs in (2, 3):
+        assert sweep(6, tasks, lines, jobs=jobs) == (rows, sizes)
+
+
 def test_generalized_refines_plain():
     for kind, domain in [
         (K.ADJACENCY, D.CONNECTED),
