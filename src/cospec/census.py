@@ -345,8 +345,9 @@ def diff_paper(max_n=8, sources=None, jobs=None):
     Cells with n above the bundled generator bound need sources to map
     that n to a graph6 file path ('-' = stdin). Raises ValueError before
     any input is read when no cell has n <= max_n, when sources names an n
-    that no such cell has, or when such a cell has no source, so a run
-    that skips a cell or a source that checks nothing is never a pass.
+    that no such cell has, when such a cell has no source, or when more
+    than one n reads stdin, so a run that skips a cell, a source that
+    checks nothing or a sweep over used-up stdin is never a pass.
     """
     jobs = _job_count(jobs)
     sources = sources or {}
@@ -360,6 +361,10 @@ def diff_paper(max_n=8, sources=None, jobs=None):
     if missing:
         raise ValueError(f"no source for the n = {missing[0]} cells; "
                          f"the bundled generator stops at n = {GENERATOR_MAX_N}")
+    stdin_ns = sorted(n for n, pathname in sources.items() if pathname == "-")
+    if len(stdin_ns) > 1:
+        raise ValueError("stdin (-) can be the source of one n only "
+                         f"(got n = {', '.join(map(str, stdin_ns))})")
     by_n = {}
     for cell in cells:
         by_n.setdefault(cell.n, []).append(cell)

@@ -9,9 +9,9 @@ Exit codes: 0 success, 1 domain/input errors and unreadable files
 COSPEC_JOBS) below 1; 2 usage errors, among them an unknown matrix kind,
 flavor or domain, whose message lists the accepted tokens. diff-paper exits
 1 when any expected cell mismatches, when --max-n selects no cell, when a
---graphs N names an n that no selected cell has and when a selected n above
-the bundled generator's bound has no --graphs N; a repeated --graphs N is a
-usage error.
+--graphs N names an n that no selected cell has, when a selected n above
+the bundled generator's bound has no --graphs N and when more than one
+--graphs N reads stdin; a repeated --graphs N is a usage error.
 """
 
 from __future__ import annotations
@@ -90,47 +90,53 @@ def _token(enum, comma_list=False):
     return parse
 
 
-def _input_graphs(args, parser):
-    literal = getattr(args, "graph", None)
-    source = getattr(args, "input", None)
-    if literal is not None and source:
+def _print_each_graph(args, parser, text):
+    """Print text(g) for the graph6 literal, or for each graph of --input.
+
+    An error that text raises for a graph of --input names its line, as
+    parse errors do.
+    """
+    if args.graph is not None and args.input:
         parser.error("give a graph6 literal or --input, not both")
-    if literal is not None:
-        return [(None, parse_graph6(literal))]
-    if source:
-        return list(iter_graph6_lines(_read_lines(source)))
-    parser.error("a graph6 literal or --input FILE is required")
+    if args.graph is not None:
+        print(text(parse_graph6(args.graph)))
+        return 0
+    if not args.input:
+        parser.error("a graph6 literal or --input FILE is required")
+    for lineno, g in list(iter_graph6_lines(_read_lines(args.input))):
+        try:
+            out = text(g)
+        except (CospecError, ValueError) as exc:
+            raise CospecError(f"line {lineno}: {exc}") from exc
+        print(out)
+    return 0
 
 
 def _cmd_matrix(args, parser):
-    for _, g in _input_graphs(args, parser):
-        print(format_matrix(build_matrix(g, args.kind)))
-    return 0
+    return _print_each_graph(args, parser, lambda g: format_matrix(build_matrix(g, args.kind)))
 
 
 def _cmd_polynomial(args, parser):
-    for _, g in _input_graphs(args, parser):
+    def text(g):
         p = args.polynomial(build_matrix(g, args.kind))
-        if args.format == "json":
-            print(json.dumps({"coeffs": list(p.coeffs)}))
-        else:
-            print(str(p))
-    return 0
+        return json.dumps({"coeffs": list(p.coeffs)}) if args.format == "json" else str(p)
+
+    return _print_each_graph(args, parser, text)
 
 
 def _cmd_snf(args, parser):
-    for _, g in _input_graphs(args, parser):
-        print(format_factors(smith_normal_form(build_matrix(g, args.kind))))
-    return 0
+    return _print_each_graph(
+        args, parser, lambda g: format_factors(smith_normal_form(build_matrix(g, args.kind)))
+    )
 
 
 def _cmd_fingerprint(args, parser):
-    for _, g in _input_graphs(args, parser):
+    def text(g):
         if args.describe:
-            print(describe_fingerprint(g, args.kind, args.flavor))
-        else:
-            print(fingerprint(g, args.kind, args.flavor).hex())
-    return 0
+            return describe_fingerprint(g, args.kind, args.flavor)
+        return fingerprint(g, args.kind, args.flavor).hex()
+
+    return _print_each_graph(args, parser, text)
 
 
 def _cmd_relate(args, parser):
@@ -164,8 +170,9 @@ def _cmd_closed_form(args, parser):
     elif args.shape == "multipartite":
         print(format_factors(multipartite_snf(args.parts, args.size, args.signless)))
     else:
-        for _, g in _input_graphs(args, parser):
-            print(format_factors(tree_snf(TreeData.from_graph(g))))
+        return _print_each_graph(
+            args, parser, lambda g: format_factors(tree_snf(TreeData.from_graph(g)))
+        )
     return 0
 
 
@@ -291,7 +298,8 @@ def build_parser():
     p = sub.add_parser("diff-paper", help="recompute and diff the published tables")
     p.add_argument("--max-n", type=int, default=8)
     p.add_argument("--graphs", action="append", metavar="N=FILE",
-                   help="external graph6 file for vertex count N, - for stdin (repeatable)")
+                   help="external graph6 file for vertex count N, - for stdin "
+                   "(repeatable; stdin for one N only)")
     p.add_argument("--jobs", type=int, default=None)
     p.set_defaults(func=_cmd_diff_paper)
 

@@ -1,6 +1,6 @@
 """Exact integer linear algebra: determinants, characteristic polynomials,
 Smith normal form over Z, the cofactor-sum polynomial, and determinantal
-gcds of xI - M over Q[x].
+gcds of xI - M over Q[x], read off the characteristic polynomial.
 
 Matrices are plain square lists of lists of Python ints (arbitrary
 precision). Everything here is division-free or fraction-free; no floating
@@ -10,26 +10,13 @@ point is used anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import isqrt, prod
 from operator import ne
 
-from .errors import ConsistencyError, UnsupportedSizeError
-from .polynomials import (
-    IntPolynomial,
-    padd,
-    pgcd,
-    pmonic,
-    pmul,
-    pprimitive,
-    pstr,
-    psub,
-    trim,
-)
+from .errors import ConsistencyError
+from .polynomials import IntPolynomial, pgcd, pmonic, pstr, psub
 
 IntMatrix = list  # list[list[int]], square
-
-DETERMINANTAL_GCD_MAX_N = 8
 
 
 def identity_matrix(n):
@@ -254,72 +241,28 @@ def smith_normal_form(m):
 class RationalPolyDivisors:
     """Monic gcds g_k of the k x k minors of xI - M over Q[x], k = 1..n."""
 
-    g: tuple  # tuple of tuples of Fraction, each ascending, monic or empty
+    g: tuple  # tuple of tuples of Fraction, each ascending and monic
 
     def __str__(self):
-        return "; ".join(pstr(gk) if gk else "0" for gk in self.g)
-
-
-def _charmatrix_entries(m):
-    n = len(m)
-    ent = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == j:
-                row.append(trim((-m[i][j], 1)))
-            else:
-                row.append(trim((-m[i][j],)))
-        ent.append(row)
-    return ent
-
-
-def _gcd_of_polys(values):
-    g = ()
-    for p in values:
-        if not p:
-            continue
-        g = pgcd(g, p) if g else pprimitive(p)
-        if g == (1,):
-            break
-    return g
+        return "; ".join(map(pstr, self.g))
 
 
 def determinantal_gcds_Qx(m):
-    """For k = 1..n, the monic gcd over Q[x] of all k x k minors of xI - m.
+    """For k = 1..n, the monic gcd over Q[x] of all k x k minors of xI - m,
+    for a symmetric integer m.
 
-    Raw minor enumeration: level-k minors are expanded along their first
-    row from the previously computed level-(k-1) minors, so every minor is
-    built exactly once. Bounded at n = 8 by combinatorial growth.
+    The chain is read off the characteristic polynomial: g_n = det(xI - m)
+    and g_(k-1) = gcd(g_k, g_k') for k = n .. 2. This is exact because a
+    symmetric m is diagonalizable, so every invariant factor f_k of xI - m
+    over Q[x] is squarefree, and f_1 | f_2 | ... | f_n. Then
+    g_k = f_1 ... f_k has f_k as its squarefree part, and over a field of
+    characteristic 0, g_(k-1) = g_k / f_k = gcd(g_k, g_k'). `pgcd` gives
+    the primitive Z[x] gcd and `pmonic` the Q[x] one. Like charpoly_coeffs,
+    raises ValueError for a non-symmetric m.
     """
-    n = len(m)
-    if n > DETERMINANTAL_GCD_MAX_N:
-        raise UnsupportedSizeError(
-            f"determinantal gcds are enumerated from raw minors, supported up to "
-            f"n = {DETERMINANTAL_GCD_MAX_N} (got {n})"
-        )
-    ent = _charmatrix_entries(m)
-    idx = range(n)
-    cur = {((i,), (j,)): ent[i][j] for i in idx for j in idx}
-    gs = [_gcd_of_polys(cur.values())]
-    for k in range(2, n + 1):
-        nxt = {}
-        for rows in combinations(idx, k):
-            r0 = rows[0]
-            rest = rows[1:]
-            ent0 = ent[r0]
-            for cols in combinations(idx, k):
-                acc = ()
-                sign = 1
-                for pos, cj in enumerate(cols):
-                    e = ent0[cj]
-                    if e:
-                        sub = cur[(rest, cols[:pos] + cols[pos + 1 :])]
-                        if sub:
-                            term = pmul(e, sub)
-                            acc = padd(acc, term) if sign > 0 else psub(acc, term)
-                    sign = -sign
-                nxt[(rows, cols)] = acc
-        cur = nxt
-        gs.append(_gcd_of_polys(cur.values()))
-    return RationalPolyDivisors(tuple(pmonic(g) for g in gs))
+    g = charpoly_coeffs(m)
+    chain = [g]
+    for _ in range(len(m) - 1):
+        g = pgcd(g, [k * c for k, c in enumerate(g)][1:])
+        chain.append(g)
+    return RationalPolyDivisors(tuple(map(pmonic, reversed(chain))))

@@ -1,7 +1,12 @@
 """Reference kernels for the tests: the division-free Berkowitz
-characteristic polynomial and the full-matrix min-|entry| Smith normal form
-that the library used before its faster kernels. The production kernels in
+characteristic polynomial, the full-matrix min-|entry| Smith normal form
+and the raw-minor enumeration of the Q[x] determinantal gcds that the
+library used before its faster kernels. The production kernels in
 cospec.intlinalg must give identical results."""
+
+from itertools import combinations
+
+from cospec.polynomials import padd, pgcd, pmonic, pmul, pprimitive, psub, trim
 
 
 def berkowitz_charpoly(m):
@@ -41,7 +46,6 @@ def berkowitz_charpoly(m):
             cn.append(acc)
         c = cn
     return tuple(reversed(c))
-
 
 
 def reference_snf(m):
@@ -131,3 +135,64 @@ def reference_snf(m):
         out.append(abs(a[k][k]))
     return tuple(out)
 
+
+
+def _charmatrix_entries(m):
+    n = len(m)
+    ent = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            if i == j:
+                row.append(trim((-m[i][j], 1)))
+            else:
+                row.append(trim((-m[i][j],)))
+        ent.append(row)
+    return ent
+
+
+def _gcd_of_polys(values):
+    g = ()
+    for p in values:
+        if not p:
+            continue
+        g = pgcd(g, p) if g else pprimitive(p)
+        if g == (1,):
+            break
+    return g
+
+
+def reference_determinantal_gcds(m):
+    """For k = 1..n, the monic gcd over Q[x] of all k x k minors of xI - m,
+    as a tuple of Fraction coefficient tuples.
+
+    Raw minor enumeration: level-k minors are expanded along their first
+    row from the previously computed level-(k-1) minors, so every minor is
+    built exactly once. There are C(2n, n) minors in all, so keep n small.
+    """
+    n = len(m)
+    ent = _charmatrix_entries(m)
+    idx = range(n)
+    cur = {((i,), (j,)): ent[i][j] for i in idx for j in idx}
+    gs = [_gcd_of_polys(cur.values())]
+    for k in range(2, n + 1):
+        nxt = {}
+        for rows in combinations(idx, k):
+            r0 = rows[0]
+            rest = rows[1:]
+            ent0 = ent[r0]
+            for cols in combinations(idx, k):
+                acc = ()
+                sign = 1
+                for pos, cj in enumerate(cols):
+                    e = ent0[cj]
+                    if e:
+                        sub = cur[(rest, cols[:pos] + cols[pos + 1 :])]
+                        if sub:
+                            term = pmul(e, sub)
+                            acc = padd(acc, term) if sign > 0 else psub(acc, term)
+                    sign = -sign
+                nxt[(rows, cols)] = acc
+        cur = nxt
+        gs.append(_gcd_of_polys(cur.values()))
+    return tuple(pmonic(g) for g in gs)

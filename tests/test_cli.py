@@ -369,3 +369,31 @@ def test_job_count_below_one_is_one_line_error(capsys, monkeypatch):
     monkeypatch.setenv("COSPEC_JOBS", "0")
     code, out, err = run_cli(capsys, *census)
     assert (code, out, err) == (1, "", "cospec: COSPEC_JOBS must be a positive integer (got '0')\n")
+
+
+def test_per_graph_input_errors_name_their_line(tmp_path, capsys):
+    # the lines before the bad graph are printed; the literal's message is unchanged
+    src = tmp_path / "graphs.g6"
+    src.write_text("Bw\nCh\nA?\n", encoding="ascii")
+    matrices = "0 1 1\n1 0 1\n1 1 0\n0 1 2 3\n1 0 1 2\n2 1 0 1\n3 2 1 0\n"
+    for argv, out, err in [
+        (("matrix", "--kind", "d"), matrices, "line 3: matrix kind 'd' needs a connected graph"),
+        (("closed-form", "tree"), "", "line 1: not a tree: edge count differs from n - 1"),
+        (("fingerprint", "--kind", "dl", "--flavor", "gen-spectral"), "",
+         "line 1: generalized 'dl' fingerprints need a connected complement"),
+    ]:
+        assert run_cli(capsys, *argv, "--input", str(src)) == (1, out, f"cospec: {err}\n")
+    want = (1, "", "cospec: matrix kind 'd' needs a connected graph\n")
+    assert run_cli(capsys, "matrix", "--kind", "d", "A?") == want
+
+
+def test_diff_paper_refuses_stdin_for_two_n(monkeypatch, capsys):
+    # stdin can be read once, so a second n would sweep what is left of it
+    swept = []
+    monkeypatch.setattr("cospec.census.sweep", lambda *args, **kw: swept.append(args))
+    stdin = io.TextIOWrapper(io.BytesIO(b"C~\n"), encoding="ascii")
+    monkeypatch.setattr("sys.stdin", stdin)
+    code, out, err = run_cli(capsys, "diff-paper", "--max-n", "5", "--graphs", "4=-", "--graphs", "5=-")
+    want = "cospec: stdin (-) can be the source of one n only (got n = 4, 5)\n"
+    assert (code, out, err, swept) == (1, "", want, [])
+    assert stdin.buffer.read() == b"C~\n"

@@ -6,8 +6,20 @@ from math import gcd, prod
 import pytest
 
 import cospec.intlinalg
-from cospec.errors import ConsistencyError, UnsupportedSizeError
-from cospec.graphs import complement, complete, connected_graph6_lines, from_edges, parse_graph6
+from cospec.cli import main
+from cospec.errors import ConsistencyError
+from cospec.graphs import (
+    complement,
+    complete,
+    connected_graph6_lines,
+    cycle,
+    disjoint_union,
+    from_edges,
+    parse_graph6,
+    path,
+    star,
+    write_graph6,
+)
 from cospec.intlinalg import (
     InvariantFactors,
     charpoly,
@@ -20,9 +32,10 @@ from cospec.intlinalg import (
     smith_normal_form,
     snf_diagonal,
 )
+from cospec.invariants import is_codeterminantal_Qx
 from cospec.matrices import ALL_KINDS, MatrixKind, build_matrix
-from cospec.polynomials import peval
-from kernel_reference import berkowitz_charpoly, reference_snf
+from cospec.polynomials import peval, pmul
+from kernel_reference import berkowitz_charpoly, reference_determinantal_gcds, reference_snf
 
 ATRS_K13 = [[5, 0, 0, -1], [0, 5, 0, -1], [0, 0, 5, -1], [-1, -1, -1, 3]]
 
@@ -150,6 +163,28 @@ def test_kernels_match_reference_on_generated_graphs():
         assert snf_diagonal(m) == reference_snf(m)
         count += 1
     assert count == 18128
+
+
+def test_snf_facts_read_off_the_charpoly():
+    # d_1 is the gcd of the entries; the rank of a symmetric matrix is n
+    # minus the multiplicity of the root 0; a zero-row-sum l or dl of a
+    # connected graph has rank n - 1 and d_(n-1) = |c_1| / n, its cofactor
+    count = 0
+    for n in range(2, 8):
+        for line in connected_graph6_lines(n):
+            g = parse_graph6(line)
+            for kind in ALL_KINDS:
+                m = build_matrix(g, kind)
+                d = snf_diagonal(m)
+                c = charpoly_coeffs(m)
+                rank = sum(1 for v in d if v)
+                assert d[0] == gcd(*(v for row in m for v in row))
+                assert rank == n - next(i for i, v in enumerate(c) if v)
+                if kind in (MatrixKind.LAPLACIAN, MatrixKind.DISTANCE_LAPLACIAN):
+                    assert rank == n - 1 and c[1] % n == 0
+                    assert prod(d[:rank]) == abs(c[1]) // n
+                count += 1
+    assert count == 9950
 
 
 def test_charpoly_matches_reference_on_large_entries():
@@ -365,6 +400,67 @@ def test_determinantal_gcds_properties():
                 assert _poly_divides(a, b)
 
 
-def test_determinantal_gcds_size_bound():
-    with pytest.raises(UnsupportedSizeError):
-        determinantal_gcds_Qx(identity_matrix(9))
+def test_determinantal_gcds_have_no_size_bound(capsys):
+    x_minus_1 = (-1, 1)
+    power = (1,)
+    for k, gk in enumerate(determinantal_gcds_Qx(identity_matrix(9)).g, 1):
+        power = pmul(power, x_minus_1)
+        assert gk == power, k
+    # a 10-vertex A-cospectral pair, and a pair that is not cospectral
+    g = disjoint_union(star(4), path(5))
+    h = disjoint_union(disjoint_union(cycle(4), complete(1)), path(5))
+    assert is_codeterminantal_Qx(g, h, MatrixKind.ADJACENCY)
+    assert not is_codeterminantal_Qx(g, path(10), MatrixKind.ADJACENCY)
+    assert main(["codet", "--kind", "a", write_graph6(g), write_graph6(h)]) == 0
+    assert capsys.readouterr().out == "true\n"
+    with pytest.raises(ValueError):
+        determinantal_gcds_Qx([[0, 1], [0, 0]])
+
+
+def _criterion_09_graphs():
+    """The graphs whose adjacency matrices the acceptance criterion on
+    codeterminantality compares: every A-cospectral mate, and the first
+    graph of each of the first six charpoly buckets, at n = 4..7."""
+    out = []
+    for n in range(4, 8):
+        buckets = {}
+        for line in connected_graph6_lines(n):
+            g = parse_graph6(line)
+            buckets.setdefault(charpoly_coeffs(build_matrix(g, MatrixKind.ADJACENCY)), []).append(g)
+        out += [g for group in buckets.values() if len(group) >= 2 for g in group]
+        out += [group[0] for group in list(buckets.values())[:6]]
+    return out
+
+
+def _repeated_eigenvalue_matrix(rng):
+    """B + B (+ [c]) conjugated by a random signed permutation: every
+    eigenvalue of B is repeated."""
+    k = rng.randint(1, 3)
+    b = random_symmetric(rng, k, -3, 3)
+    blocks = [b, b] + ([[[rng.randint(-3, 3)]]] if k < 3 else [])
+    n = sum(map(len, blocks))
+    m = [[0] * n for _ in range(n)]
+    at = 0
+    for blk in blocks:
+        for i, row in enumerate(blk):
+            m[at + i][at : at + len(row)] = row
+        at += len(blk)
+    perm = rng.sample(range(n), n)
+    signs = [rng.choice((-1, 1)) for _ in range(n)]
+    return [[signs[i] * signs[j] * m[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+
+
+def test_determinantal_gcds_match_raw_minor_reference():
+    mats = [build_matrix(parse_graph6(line), kind)
+            for n in range(1, 6) for line in connected_graph6_lines(n) for kind in ALL_KINDS]
+    mats += [build_matrix(g, MatrixKind.ADJACENCY) for g in _criterion_09_graphs()]
+    rng = random.Random(12)
+    mats += [random_symmetric(rng, rng.randint(1, 6), -4, 4) for _ in range(30)]
+    mats += [_repeated_eigenvalue_matrix(rng) for _ in range(30)]
+    assert len(mats) == 310 + 89 + 60
+    repeated = 0
+    for m in mats:
+        g = determinantal_gcds_Qx(m).g
+        assert g == reference_determinantal_gcds(m), m
+        repeated += len(g) > 1 and g[-2] != (1,)
+    assert repeated >= 30
