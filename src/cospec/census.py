@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import partial
 from multiprocessing import Pool
 
-from .errors import CensusInputError, ConsistencyError, Graph6ParseError
+from .errors import CensusInputError, ConsistencyError, CospecError, _prefixed, at_line
 from .graphs import (
     GENERATOR_MAX_N,
     _data_lines,
@@ -80,6 +80,9 @@ class CensusSpec:
         if not self.kinds:
             raise ValueError("census needs at least one matrix kind")
         self.tasks()  # each CensusTask checks its (kind, flavor, domain)
+        for i, kind in enumerate(self.kinds):
+            if kind in self.kinds[:i]:
+                raise ValueError(f"census names kind {kind.value!r} more than once")
 
     def tasks(self):
         return [CensusTask(kind, self.flavor, self.domain) for kind in self.kinds]
@@ -118,36 +121,35 @@ class CensusRow:
 
 def _graph_task_keys(n, tasks, numbered):
     """Domain membership flags and (task_index, key) pairs of one
-    (lineno, line); None for a line outside every domain."""
+    (lineno, line); None for a line outside every domain. A CospecError
+    raised for the line names it."""
     lineno, line = numbered
     try:
         g = parse_graph6(line)
-    except Graph6ParseError as exc:
-        raise exc.at_line(lineno) from exc
-    if g.n != n:
-        raise CensusInputError(f"expected {n} vertices, got {g.n}", lineno=lineno)
-    dd = distance_data(g)
-    if not dd.connected:
-        return None  # outside every census domain
-    cg = complement(g)
-    cdd = distance_data(cg)
-    member = {
-        Domain.CONNECTED: True,
-        Domain.CONNECTED_COMPLEMENT: cdd.connected,
-        Domain.DIAM2_PAIR: cdd.connected
-        and dd.diameter == 2
-        and cdd.diameter == 2,
-    }
-    # the block functions are read from this module per line, so that
-    # patched attributes apply
-    blocks = _Blocks(((g, dd), (cg, cdd)), build_matrix, charpoly_coeffs, snf_diagonal)
-    out = []
-    for ti, task in enumerate(tasks):
-        if member[task.domain]:
-            kind = task.kind
-            ints = [blocks.block(op, kind, side) for op, side in task.flavor.components]
-            out.append((ti, compose_key(kind, task.flavor, ints)))
-    return member, out
+        if g.n != n:
+            raise CensusInputError(f"expected {n} vertices, got {g.n}")
+        dd = distance_data(g)
+        if not dd.connected:
+            return None  # outside every census domain
+        cg = complement(g)
+        cdd = distance_data(cg)
+        member = {
+            Domain.CONNECTED: True,
+            Domain.CONNECTED_COMPLEMENT: cdd.connected,
+            Domain.DIAM2_PAIR: cdd.connected and dd.diameter == 2 and cdd.diameter == 2,
+        }
+        # the block functions are read from this module per line, so that
+        # patched attributes apply
+        blocks = _Blocks(((g, dd), (cg, cdd)), build_matrix, charpoly_coeffs, snf_diagonal)
+        out = []
+        for ti, task in enumerate(tasks):
+            if member[task.domain]:
+                kind = task.kind
+                ints = [blocks.block(op, kind, side) for op, side in task.flavor.components]
+                out.append((ti, compose_key(kind, task.flavor, ints)))
+        return member, out
+    except CospecError as exc:
+        raise at_line(exc, lineno) from exc
 
 
 def default_jobs():
@@ -347,7 +349,8 @@ def diff_paper(max_n=8, sources=None, jobs=None):
     any input is read when no cell has n <= max_n, when sources names an n
     that no such cell has, when such a cell has no source, or when more
     than one n reads stdin, so a run that skips a cell, a source that
-    checks nothing or a sweep over used-up stdin is never a pass.
+    checks nothing or a sweep over used-up stdin is never a pass. A
+    CospecError from the sweep of a source names it first ('stdin' for '-').
     """
     jobs = _job_count(jobs)
     sources = sources or {}
@@ -377,7 +380,13 @@ def diff_paper(max_n=8, sources=None, jobs=None):
         tasks = dict.fromkeys(
             CensusTask(c.kind, c.flavor, c.domain) for c in group if c.row != "domain-size"
         )
-        rows, sizes = sweep(n, tasks, _source_lines(n, sources.get(n)), jobs=jobs)
+        pathname = sources.get(n)
+        try:
+            rows, sizes = sweep(n, tasks, _source_lines(n, pathname), jobs=jobs)
+        except CospecError as exc:
+            if pathname is None:
+                raise
+            raise _prefixed(exc, f"{'stdin' if pathname == '-' else pathname}: ") from exc
         by_task = {r.task: r for r in rows}
         for cell in group:
             if cell.row == "domain-size":

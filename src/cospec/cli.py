@@ -22,9 +22,9 @@ import sys
 
 from .census import CensusSpec, Domain, diff_paper, run_census
 from .closed_forms import TreeData, multipartite_snf, star_snf, tree_snf
-from .errors import CospecError
+from .errors import CospecError, at_line
 from .graphs import _read_lines, iter_graph6_lines, parse_graph6
-from .intlinalg import charpoly, cof_polynomial, smith_normal_form
+from .intlinalg import charpoly, cof_polynomial, format_factors, smith_normal_form
 from .invariants import (
     Flavor,
     describe_fingerprint,
@@ -37,10 +37,6 @@ from .matrices import MatrixKind, build_matrix
 
 def format_matrix(m):
     return "\n".join(" ".join(str(v) for v in row) for row in m)
-
-
-def format_factors(factors):
-    return " ".join(str(v) for v in factors)
 
 
 def format_bool(value):
@@ -94,7 +90,7 @@ def _print_each_graph(args, parser, text):
     """Print text(g) for the graph6 literal, or for each graph of --input.
 
     An error that text raises for a graph of --input names its line, as
-    parse errors do.
+    parse errors do, and keeps its type.
     """
     if args.graph is not None and args.input:
         parser.error("give a graph6 literal or --input, not both")
@@ -107,7 +103,7 @@ def _print_each_graph(args, parser, text):
         try:
             out = text(g)
         except (CospecError, ValueError) as exc:
-            raise CospecError(f"line {lineno}: {exc}") from exc
+            raise at_line(exc, lineno) from exc
         print(out)
     return 0
 

@@ -1,27 +1,20 @@
 """Exception types shared across the package."""
 
+import copy
+
 
 class CospecError(Exception):
     """Base class for errors raised by this package."""
 
 
 class Graph6ParseError(CospecError, ValueError):
-    """Malformed graph6 input. Carries the byte offset and, in batch mode, the line number."""
+    """Malformed graph6 input. Carries the byte offset of the bad byte."""
 
-    def __init__(self, message, offset=None, lineno=None):
-        detail = message
+    def __init__(self, message, offset=None):
         if offset is not None:
-            detail += f" (byte offset {offset})"
-        if lineno is not None:
-            detail = f"line {lineno}: {detail}"
-        super().__init__(detail)
-        self.message = message
+            message += f" (byte offset {offset})"
+        super().__init__(message)
         self.offset = offset
-        self.lineno = lineno
-
-    def at_line(self, lineno):
-        """This error, offset kept, at line lineno of batch input."""
-        return type(self)(self.message, self.offset, lineno)
 
 
 class UnsupportedSizeError(CospecError, ValueError):
@@ -37,10 +30,19 @@ class ConsistencyError(CospecError, RuntimeError):
 
 
 class CensusInputError(CospecError, ValueError):
-    """A census source line is unusable (wrong vertex count, unreadable)."""
+    """A census source line is unusable (wrong vertex count)."""
 
-    def __init__(self, message, lineno=None):
-        if lineno is not None:
-            message = f"line {lineno}: {message}"
-        super().__init__(message)
-        self.lineno = lineno
+
+def _prefixed(exc, prefix, **attrs):
+    """A copy of exc, type and attributes kept, with prefix before its message and attrs set."""
+    out = copy.copy(exc)
+    out.args = (prefix + str(exc),)
+    for name, value in attrs.items():
+        setattr(out, name, value)
+    return out
+
+
+def at_line(exc, lineno):
+    """exc at line lineno of batch input: a copy of its type and with its
+    attributes, whose message starts with 'line N: ' and whose .lineno is N."""
+    return _prefixed(exc, f"line {lineno}: ", lineno=lineno)

@@ -16,7 +16,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import Graph6ParseError, UnsupportedSizeError
+from .errors import Graph6ParseError, UnsupportedSizeError, at_line
 
 MAX_VERTICES = 64  # representable
 MAX_SHORT_GRAPH6_VERTICES = 62  # one size byte; header 126 starts the long form
@@ -301,7 +301,7 @@ def iter_graph6_lines(lines):
         try:
             yield lineno, parse_graph6(line)
         except Graph6ParseError as exc:
-            raise exc.at_line(lineno) from exc
+            raise at_line(exc, lineno) from exc
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,7 @@ from math import isqrt, prod
 from operator import ne
 
 from .errors import ConsistencyError
-from .polynomials import IntPolynomial, pgcd, pmonic, pstr, psub
-
-IntMatrix = list  # list[list[int]], square
+from .polynomials import IntPolynomial, pgcd, pmonic, psub
 
 
 def identity_matrix(n):
@@ -157,7 +155,12 @@ class InvariantFactors:
         return iter(self.d)
 
     def __str__(self):
-        return " ".join(str(v) for v in self.d)
+        return format_factors(self.d)
+
+
+def format_factors(factors):
+    """Invariant factors as one line, space-separated."""
+    return " ".join(map(str, factors))
 
 
 def snf_diagonal(m):
@@ -242,9 +245,6 @@ class RationalPolyDivisors:
     """Monic gcds g_k of the k x k minors of xI - M over Q[x], k = 1..n."""
 
     g: tuple  # tuple of tuples of Fraction, each ascending and monic
-
-    def __str__(self):
-        return "; ".join(map(pstr, self.g))
 
 
 def determinantal_gcds_Qx(m):

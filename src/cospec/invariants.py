@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .errors import ConnectivityError
 from .graphs import complement, distance_data
-from .intlinalg import charpoly_coeffs, determinantal_gcds_Qx, snf_diagonal
+from .intlinalg import charpoly_coeffs, determinantal_gcds_Qx, format_factors, snf_diagonal
 from .matrices import TokenEnum, build_matrix
 from .polynomials import pstr, psub
 
@@ -59,15 +59,11 @@ _COMPONENTS = {
 }
 
 
-def _factors(ints):
-    return " ".join(str(v) for v in ints)
-
-
 # op -> (description label, rendering of its result)
 _OPS = {
     "charpoly": ("charpoly", pstr),
     "cof": ("cof polynomial", pstr),
-    "snf": ("invariant factors", _factors),
+    "snf": ("invariant factors", format_factors),
 }
 
 

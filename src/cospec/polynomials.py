@@ -41,12 +41,6 @@ def pmul(a, b):
     return trim(out)
 
 
-def pscale(a, k):
-    if k == 0:
-        return ()
-    return tuple(c * k for c in a)
-
-
 def peval(a, x):
     """Horner evaluation; exact for int or Fraction x."""
     acc = 0

@@ -14,7 +14,7 @@ from cospec.census import (
     run_census,
     sweep,
 )
-from cospec.errors import CensusInputError, Graph6ParseError
+from cospec.errors import CensusInputError, ConsistencyError, Graph6ParseError
 from cospec.graphs import connected_graph6_lines
 from cospec.invariants import Flavor
 from cospec.matrices import MatrixKind
@@ -33,6 +33,13 @@ def test_spec_validation():
         CensusSpec(1, D.CONNECTED, (K.ADJACENCY,), F.SPECTRAL)
     # plain flavors for distance kinds are fine on the connected domain
     CensusSpec(5, D.CONNECTED, (K.DISTANCE,), F.SPECTRAL)
+
+
+def test_spec_refuses_a_repeated_kind():
+    # a repeated kind would print the same row twice
+    kinds = (K.ADJACENCY, K.LAPLACIAN, K.ADJACENCY)
+    with pytest.raises(ValueError, match="^census names kind 'a' more than once$"):
+        CensusSpec(5, D.CONNECTED, kinds, F.SPECTRAL)
 
 
 def test_domain_tokens():
@@ -450,3 +457,21 @@ def test_census_parse_errors_keep_byte_offset():
         exc = pytest.raises(Graph6ParseError, run_census, spec, lines=bad, jobs=jobs).value
         assert (exc.lineno, exc.offset) == (16, 2)
         assert str(exc) == "line 16: data byte 33 outside [63, 126] (byte offset 2)"
+
+
+def test_census_names_the_line_of_a_kernel_error(monkeypatch):
+    # any CospecError raised while a line is handled names that line and
+    # keeps its type; here the third data line's charpoly fails
+    calls = []
+
+    def charpoly_coeffs(m):
+        calls.append(m)
+        if len(calls) == 3:
+            raise ConsistencyError("charpoly digits do not decode")
+        return (1,) * (len(m) + 1)
+
+    monkeypatch.setattr("cospec.census.charpoly_coeffs", charpoly_coeffs)
+    spec = CensusSpec(5, D.CONNECTED, (K.ADJACENCY,), F.SPECTRAL)
+    lines = [">>graph6<<", *connected_graph6_lines(5)]
+    exc = pytest.raises(ConsistencyError, run_census, spec, lines=lines, jobs=1).value
+    assert (str(exc), exc.lineno) == ("line 4: charpoly digits do not decode", 4)

@@ -387,6 +387,31 @@ def test_per_graph_input_errors_name_their_line(tmp_path, capsys):
     assert run_cli(capsys, "matrix", "--kind", "d", "A?") == want
 
 
+def test_diff_paper_names_the_source_of_a_bad_line(tmp_path, monkeypatch, capsys):
+    # with two sources, the message says which one holds the bad line
+    g4, g5 = tmp_path / "g4.g6", tmp_path / "g5.g6"
+    g4.write_text("\n".join(connected_graph6_lines(4)) + "\n", encoding="ascii")
+    lines = list(connected_graph6_lines(5))
+    g5.write_text("\n".join(lines[:3] + ["Ch"] + lines[3:]) + "\n", encoding="ascii")
+    diff = ("diff-paper", "--max-n", "5", "--jobs", "1", "--graphs", f"4={g4}")
+    want = (1, "", f"cospec: {g5}: line 4: expected 5 vertices, got 4\n")
+    assert run_cli(capsys, *diff, "--graphs", f"5={g5}") == want
+    stdin = io.TextIOWrapper(io.BytesIO(g5.read_bytes()), encoding="ascii")
+    monkeypatch.setattr("sys.stdin", stdin)
+    want = (1, "", "cospec: stdin: line 4: expected 5 vertices, got 4\n")
+    assert run_cli(capsys, *diff, "--graphs", "5=-") == want
+    # census --input names only the line, as before
+    census = ("census", "--n", "5", "--domain", "connected", "--kind", "a", "--flavor", "spectral")
+    want = (1, "", "cospec: line 4: expected 5 vertices, got 4\n")
+    assert run_cli(capsys, *census, "--jobs", "1", "--input", str(g5)) == want
+
+
+def test_census_refuses_a_repeated_kind(capsys):
+    census = ("census", "--n", "5", "--domain", "connected", "--flavor", "spectral")
+    want = (1, "", "cospec: census names kind 'a' more than once\n")
+    assert run_cli(capsys, *census, "--kind", "a,A", "--kind", "a") == want
+
+
 def test_diff_paper_refuses_stdin_for_two_n(monkeypatch, capsys):
     # stdin can be read once, so a second n would sweep what is left of it
     swept = []

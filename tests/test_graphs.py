@@ -1,4 +1,5 @@
 import hashlib
+import pickle
 import random
 from functools import lru_cache
 from itertools import permutations
@@ -6,7 +7,7 @@ from itertools import permutations
 import pytest
 
 from cospec import graphs
-from cospec.errors import Graph6ParseError, UnsupportedSizeError
+from cospec.errors import ConnectivityError, Graph6ParseError, UnsupportedSizeError, at_line
 from cospec.graphs import (
     Graph,
     canonical_key,
@@ -467,6 +468,22 @@ def test_iter_graph6_lines_errors_keep_byte_offset():
     ).value
     assert (exc.lineno, exc.offset) == (2, 2)
     assert str(exc) == "line 2: trailing garbage after graph6 data (byte offset 2)"
+
+
+def test_at_line_keeps_type_and_attributes():
+    # the copy names the line; the original error is left as it was
+    for exc in (ConnectivityError("graph is disconnected"), ValueError("bad value")):
+        exc.note = "kept"
+        got = at_line(exc, 7)
+        assert type(got) is type(exc)
+        assert (str(got), got.lineno, got.note) == (f"line 7: {exc}", 7, "kept")
+        assert not hasattr(exc, "lineno")
+    # a parse error keeps its byte offset, also across pickle (the worker path)
+    got = at_line(Graph6ParseError("nonzero padding bit", offset=3), 5)
+    back = pickle.loads(pickle.dumps(got))
+    assert type(back) is Graph6ParseError
+    assert (str(back), back.lineno, back.offset) == (
+        "line 5: nonzero padding bit (byte offset 3)", 5, 3)
 
 
 def test_generate_connected_checks_bounds_at_call():

@@ -26,7 +26,7 @@ from cospec.invariants import (
     related,
 )
 from cospec.matrices import MatrixKind, build_matrix
-from cospec.polynomials import padd, pmul, pscale
+from cospec.polynomials import padd, pmul
 
 K = MatrixKind
 F = Flavor
@@ -304,6 +304,12 @@ def test_kind_group_partitions_diam2(n, count):
         for other in others:
             other_keys = [fingerprint(g, other, F.GEN_SPECTRAL) for g in graphs]
             assert _partitions_equal(base_keys, other_keys)
+
+
+def pscale(a, k):
+    if k == 0:
+        return ()
+    return tuple(c * k for c in a)
 
 
 def _compose_at_2n_minus_x(p, n):
