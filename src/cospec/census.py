@@ -1,12 +1,14 @@
 """Census engine over graph6 sources.
 
 Each data line is one unit of work, sent to the workers in batches; the
-main process adds each line's domain flags and keys to the totals once.
-Graphs are bucketed by exact fingerprint byte keys; a graph "has a mate"
-when its bucket holds at least two graphs, so with_mate is the sum of the
-sizes of all buckets of size >= 2. Buckets store counts only, never whole
-graphs or line numbers, and merging count maps is commutative, so results
-do not depend on input order or worker count.
+main process adds each line's domain flags and keys to the totals once,
+taking the line results in input order. Graphs are bucketed by exact
+fingerprint byte keys; a graph "has a mate" when its bucket holds at least
+two graphs, so with_mate is the sum of the sizes of all buckets of size
+>= 2. Buckets store counts only, never whole graphs or line numbers, and
+merging count maps is commutative, so rows do not depend on input order or
+worker count; neither does a diagnostic, which names the first bad line of
+the input at any worker count.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from multiprocessing import Pool
 from .errors import CensusInputError, ConsistencyError, CospecError, _prefixed, at_line
 from .graphs import (
     GENERATOR_MAX_N,
+    MAX_VERTICES,
     _data_lines,
     _open_source,
     _read_lines,
@@ -75,8 +78,8 @@ class CensusSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "kinds", tuple(self.kinds))
-        if self.n < 2:
-            raise ValueError(f"census needs n >= 2 (got {self.n})")
+        if not 2 <= self.n <= MAX_VERTICES:
+            raise ValueError(f"census needs 2 <= n <= {MAX_VERTICES} (got {self.n})")
         if not self.kinds:
             raise ValueError("census needs at least one matrix kind")
         self.tasks()  # each CensusTask checks its (kind, flavor, domain)
@@ -152,23 +155,10 @@ def _graph_task_keys(n, tasks, numbered):
         raise at_line(exc, lineno) from exc
 
 
-def default_jobs():
-    env = os.environ.get("COSPEC_JOBS")
-    if env:
-        try:
-            jobs = int(env)
-        except ValueError:
-            jobs = 0
-        if jobs < 1:
-            raise ValueError(f"COSPEC_JOBS must be a positive integer (got {env!r})")
-        return jobs
-    return os.cpu_count() or 1
-
-
 def _job_count(jobs):
-    """default_jobs() for None; below 1 is a ValueError. Resolved before any input is read."""
+    """os.cpu_count() for None; below 1 is a ValueError. Resolved before any input is read."""
     if jobs is None:
-        jobs = default_jobs()
+        jobs = os.cpu_count() or 1
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1 (got {jobs})")
     return jobs
@@ -190,7 +180,7 @@ def sweep(n, tasks, lines, jobs=None):
     buckets = [Counter() for _ in tasks]
     sizes = {d: 0 for d in Domain}
     with Pool(workers) if workers > 1 else nullcontext() as pool:
-        for res in pool.imap_unordered(work, numbered, chunk_size) if pool else map(work, numbered):
+        for res in pool.imap(work, numbered, chunk_size) if pool else map(work, numbered):
             if res is None:
                 continue
             member, keys = res
@@ -220,12 +210,10 @@ def source_lines(spec):
     return _source_lines(spec.n, spec.source)
 
 
-def run_census(spec, lines=None, jobs=None):
-    """Execute a census and return one CensusRow per kind."""
+def run_census(spec, jobs=None):
+    """Execute a census over spec.source and return one CensusRow per kind."""
     jobs = _job_count(jobs)
-    if lines is None:
-        lines = source_lines(spec)
-    return sweep(spec.n, spec.tasks(), lines, jobs=jobs)[0]
+    return sweep(spec.n, spec.tasks(), source_lines(spec), jobs=jobs)[0]
 
 
 # ---------------------------------------------------------------------------

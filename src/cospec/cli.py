@@ -5,13 +5,15 @@ calls the corresponding function, and prints its serialized value, so the
 output is byte-identical to serializing the library call directly.
 
 Exit codes: 0 success, 1 domain/input errors and unreadable files
-(one-line diagnostic on stderr), among them a job count (--jobs or
-COSPEC_JOBS) below 1; 2 usage errors, among them an unknown matrix kind,
-flavor or domain, whose message lists the accepted tokens. diff-paper exits
-1 when any expected cell mismatches, when --max-n selects no cell, when a
---graphs N names an n that no selected cell has, when a selected n above
-the bundled generator's bound has no --graphs N and when more than one
---graphs N reads stdin; a repeated --graphs N is a usage error.
+(one-line diagnostic on stderr), among them a --jobs below 1 and a census
+--n outside [2, 64]; census and diff-paper name the first bad line of
+their input at any --jobs. 2 usage errors, among them an unknown matrix
+kind, flavor or domain, whose message lists the accepted tokens.
+diff-paper exits 1 when any expected cell mismatches, when --max-n selects
+no cell, when a --graphs N names an n that no selected cell has, when a
+selected n above the bundled generator's bound has no --graphs N and when
+more than one --graphs N reads stdin; a repeated --graphs N is a usage
+error.
 """
 
 from __future__ import annotations

@@ -119,12 +119,7 @@ def compose_key(kind, flavor, blocks):
 
 def fingerprint_blocks(g, kind, flavor):
     """The component int lists of g's fingerprint, in flavor.components order."""
-    data = distance_data(g)
-    if kind.requires_connected and not data.connected:
-        raise ConnectivityError(
-            f"kind {kind.value!r} needs a connected graph"
-        )
-    sides = [(g, data)]
+    sides = [(g, distance_data(g))]
     if flavor.uses_complement:
         cg = complement(g)
         cdata = distance_data(cg)

@@ -31,6 +31,10 @@ def test_spec_validation():
         CensusSpec(5, D.CONNECTED, (), F.SPECTRAL)
     with pytest.raises(ValueError):
         CensusSpec(1, D.CONNECTED, (K.ADJACENCY,), F.SPECTRAL)
+    # no graph6 line holds more than 64 vertices
+    with pytest.raises(ValueError, match=r"^census needs 2 <= n <= 64 \(got 65\)$"):
+        CensusSpec(65, D.CONNECTED, (K.ADJACENCY,), F.SPECTRAL)
+    CensusSpec(64, D.CONNECTED, (K.ADJACENCY,), F.SPECTRAL)
     # plain flavors for distance kinds are fine on the connected domain
     CensusSpec(5, D.CONNECTED, (K.DISTANCE,), F.SPECTRAL)
 
@@ -76,11 +80,11 @@ def test_census_row_fields():
 def test_determinism_under_shuffle_and_jobs():
     lines = list(connected_graph6_lines(5))
     spec = CensusSpec(5, D.CONNECTED_COMPLEMENT, (K.DISTANCE, K.ADJACENCY), F.GEN_INVARIANT)
-    base = run_census(spec, lines=lines, jobs=1)
+    base = sweep(spec.n, spec.tasks(), lines, 1)[0]
     shuffled = lines[:]
     random.Random(9).shuffle(shuffled)
-    assert run_census(spec, lines=shuffled, jobs=1) == base
-    assert run_census(spec, lines=shuffled, jobs=2) == base
+    assert sweep(spec.n, spec.tasks(), shuffled, 1)[0] == base
+    assert sweep(spec.n, spec.tasks(), shuffled, 2)[0] == base
 
 
 def test_worker_pool_matches_serial_diam2():
@@ -113,7 +117,7 @@ def test_pool_never_has_more_workers_than_batches(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def imap_unordered(self, func, iterable, chunksize=1):
+        def imap(self, func, iterable, chunksize=1):
             return map(func, iterable)
 
     monkeypatch.setattr(census, "Pool", SerialPool)
@@ -182,7 +186,7 @@ def test_census_from_file(tmp_path, monkeypatch):
     spec = CensusSpec(5, D.CONNECTED, kinds, F.GEN_SPECTRAL, source=str(src))
     rows = run_census(spec)
     assert rows[0].domain_size == 21 and rows[0].with_mate == 2
-    # source '-' reads the same bytes from stdin, with no lines= from the caller
+    # source '-' reads the same bytes from stdin
     stdin = io.TextIOWrapper(io.BytesIO(src.read_bytes()), encoding="ascii")
     monkeypatch.setattr("sys.stdin", stdin)
     assert run_census(CensusSpec(5, D.CONNECTED, kinds, F.GEN_SPECTRAL, source="-")) == rows
@@ -208,17 +212,17 @@ def test_census_errors_carry_line_numbers(tmp_path):
     spec = CensusSpec(5, D.CONNECTED, (K.ADJACENCY,), F.SPECTRAL)
     lines = list(connected_graph6_lines(5))
     bad = lines[:3] + ["C~"] + lines[3:]
-    exc = pytest.raises(CensusInputError, run_census, spec, lines=bad).value
+    exc = pytest.raises(CensusInputError, sweep, spec.n, spec.tasks(), bad).value
     assert "line 4" in str(exc) and "expected 5" in str(exc)
 
     bad = lines[:2] + ["D!!!"] + lines[2:]
-    exc = pytest.raises(Graph6ParseError, run_census, spec, lines=bad).value
+    exc = pytest.raises(Graph6ParseError, sweep, spec.n, spec.tasks(), bad).value
     assert "line 3" in str(exc)
 
     # the header and blank lines count, and the bad line lies past the
     # first chunk of a two-worker sweep
     bad = [">>graph6<<", ""] + lines[:15] + ["", "D!!!"] + lines[15:]
-    exc = pytest.raises(Graph6ParseError, run_census, spec, lines=bad, jobs=2).value
+    exc = pytest.raises(Graph6ParseError, sweep, spec.n, spec.tasks(), bad, 2).value
     assert "line 19:" in str(exc)
 
 
@@ -228,7 +232,7 @@ def test_disconnected_lines_are_outside_domains():
 
     extra = write_graph6(disjoint_union(cycle(4), complete(1)))
     spec = CensusSpec(5, D.CONNECTED, (K.ADJACENCY,), F.SPECTRAL)
-    rows = run_census(spec, lines=[extra] + list(connected_graph6_lines(5)))
+    rows = sweep(spec.n, spec.tasks(), [extra] + list(connected_graph6_lines(5)))[0]
     assert rows[0].domain_size == 21
 
 
@@ -360,7 +364,7 @@ def test_census_row_is_the_sweep_row():
     assert row.with_mate == sum(c for c in row.buckets.values() if c >= 2) == 2
     assert row.uncertainty == Fraction(2, 21)
     assert "buckets" not in repr(row) and hash(row) == hash(run_census(spec, jobs=1)[0])
-    empty = run_census(spec, lines=[], jobs=1)[0]
+    empty = sweep(spec.n, spec.tasks(), [], 1)[0][0]
     assert (empty.domain_size, empty.with_mate, empty.uncertainty) == (0, 0, Fraction(0))
 
 
@@ -424,27 +428,14 @@ def test_job_count_is_checked_before_any_input(tmp_path, monkeypatch):
     ):
         with pytest.raises(ValueError, match="jobs must be at least 1 \\(got 0\\)"):
             call()
-    monkeypatch.setenv("COSPEC_JOBS", "0")
-    with pytest.raises(ValueError, match="COSPEC_JOBS must be a positive integer"):
-        run_census(spec)
 
 
-def test_job_count_must_be_positive(monkeypatch):
-    from cospec.census import default_jobs
-
+def test_job_count_must_be_positive():
     lines = connected_graph6_lines(4)
     task = CensusTask(K.ADJACENCY, F.SPECTRAL, D.CONNECTED)
     for jobs in (0, -4):
         with pytest.raises(ValueError, match=f"jobs must be at least 1 \\(got {jobs}\\)"):
             sweep(4, [task], lines, jobs=jobs)
-    for env in ("0", "-2", "abc"):
-        monkeypatch.setenv("COSPEC_JOBS", env)
-        with pytest.raises(ValueError, match=f"COSPEC_JOBS must be a positive integer \\(got '{env}'\\)"):
-            default_jobs()
-        with pytest.raises(ValueError, match="COSPEC_JOBS"):
-            sweep(4, [task], lines)
-    monkeypatch.setenv("COSPEC_JOBS", "2")
-    assert default_jobs() == 2
 
 
 def test_census_parse_errors_keep_byte_offset():
@@ -454,9 +445,37 @@ def test_census_parse_errors_keep_byte_offset():
     lines = list(connected_graph6_lines(5))
     bad = lines[:15] + ["D?!"] + lines[15:]
     for jobs in (1, 2):
-        exc = pytest.raises(Graph6ParseError, run_census, spec, lines=bad, jobs=jobs).value
+        exc = pytest.raises(Graph6ParseError, sweep, spec.n, spec.tasks(), bad, jobs).value
         assert (exc.lineno, exc.offset) == (16, 2)
         assert str(exc) == "line 16: data byte 33 outside [63, 126] (byte offset 2)"
+
+
+def test_first_bad_line_is_named_at_every_job_count(tmp_path, capsys):
+    # 602 lines with wrong-size graphs at lines 150 and 153: jobs 2 sends
+    # them in batches of 151, so the second bad line's batch reaches its
+    # error first; results are taken in input order, so line 150 is named
+    from cospec.cli import main
+
+    lines = list(connected_graph6_lines(7))[:600]
+    lines[149:149] = ["C~"]
+    lines[152:152] = ["C~"]
+    assert len(lines) == 602 and [i + 1 for i, x in enumerate(lines) if x == "C~"] == [150, 153]
+    src = tmp_path / "two-bad.g6"
+    src.write_text("\n".join(lines) + "\n", encoding="ascii")
+    spec = CensusSpec(7, D.CONNECTED, (K.ADJACENCY, K.LAPLACIAN, K.SIGNLESS_LAPLACIAN),
+                      F.GEN_INVARIANT)
+    argv = ["census", "--n", "7", "--domain", "connected", "--kind", "a,l,q",
+            "--flavor", "gen-invariant", "--input", str(src)]
+    for jobs in (1, 2, 3):
+        exc = pytest.raises(CensusInputError, sweep, spec.n, spec.tasks(), lines, jobs).value
+        assert (str(exc), exc.lineno) == ("line 150: expected 7 vertices, got 4", 150)
+        assert main(argv + ["--jobs", str(jobs)]) == 1
+        assert capsys.readouterr() == ("", "cospec: line 150: expected 7 vertices, got 4\n")
+    # a parse error first keeps its type and byte offset across the Pool
+    lines[149] = "F?!??"
+    for jobs in (1, 2, 3):
+        exc = pytest.raises(Graph6ParseError, sweep, spec.n, spec.tasks(), lines, jobs).value
+        assert (exc.lineno, exc.offset) == (150, 2)
 
 
 def test_census_names_the_line_of_a_kernel_error(monkeypatch):
@@ -473,5 +492,5 @@ def test_census_names_the_line_of_a_kernel_error(monkeypatch):
     monkeypatch.setattr("cospec.census.charpoly_coeffs", charpoly_coeffs)
     spec = CensusSpec(5, D.CONNECTED, (K.ADJACENCY,), F.SPECTRAL)
     lines = [">>graph6<<", *connected_graph6_lines(5)]
-    exc = pytest.raises(ConsistencyError, run_census, spec, lines=lines, jobs=1).value
+    exc = pytest.raises(ConsistencyError, sweep, spec.n, spec.tasks(), lines, 1).value
     assert (str(exc), exc.lineno) == ("line 4: charpoly digits do not decode", 4)

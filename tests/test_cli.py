@@ -247,18 +247,6 @@ def test_unreadable_input_is_one_line_error(tmp_path, capsys):
         assert (code, out, err) == (1, "", f"cospec: {path}: {reason}\n")
 
 
-def test_bad_cospec_jobs_is_one_line_error(capsys, monkeypatch):
-    monkeypatch.setenv("COSPEC_JOBS", "abc")
-    code, out, err = run_cli(
-        capsys,
-        "census", "--n", "4", "--domain", "connected",
-        "--kind", "a", "--flavor", "spectral",
-    )
-    assert code == 1 and out == ""
-    assert len(err.splitlines()) == 1
-    assert "COSPEC_JOBS" in err and "'abc'" in err
-
-
 def test_non_ascii_byte_reports_line_number(tmp_path, capsys):
     src = tmp_path / "bad.g6"
     src.write_bytes(b">>graph6<<\nC~\nC\xe9\n")
@@ -361,14 +349,22 @@ def test_job_count_is_checked_before_the_input_is_read(tmp_path, capsys):
     assert run_cli(capsys, *diff, "--jobs", "0") == want
 
 
-def test_job_count_below_one_is_one_line_error(capsys, monkeypatch):
+def test_job_count_below_one_is_one_line_error(capsys):
     census = ("census", "--n", "4", "--domain", "connected", "--kind", "a", "--flavor", "spectral")
     for jobs in ("0", "-4"):
         code, out, err = run_cli(capsys, *census, "--jobs", jobs)
         assert (code, out, err) == (1, "", f"cospec: jobs must be at least 1 (got {jobs})\n")
-    monkeypatch.setenv("COSPEC_JOBS", "0")
-    code, out, err = run_cli(capsys, *census)
-    assert (code, out, err) == (1, "", "cospec: COSPEC_JOBS must be a positive integer (got '0')\n")
+
+
+def test_census_refuses_n_above_the_graph_limit(capsys):
+    # no graph6 line holds more than 64 vertices, so an empty input is not
+    # a census of domain size 0
+    census = ("census", "--domain", "connected", "--kind", "a", "--flavor", "spectral",
+              "--input", "/dev/null")
+    want = (1, "", "cospec: census needs 2 <= n <= 64 (got 70)\n")
+    assert run_cli(capsys, *census, "--n", "70") == want
+    code, out, err = run_cli(capsys, *census, "--n", "64")
+    assert (code, out.splitlines()[-1], err) == (0, "a,spectral,64,0,0,0", "")
 
 
 def test_per_graph_input_errors_name_their_line(tmp_path, capsys):
@@ -385,6 +381,18 @@ def test_per_graph_input_errors_name_their_line(tmp_path, capsys):
         assert run_cli(capsys, *argv, "--input", str(src)) == (1, out, f"cospec: {err}\n")
     want = (1, "", "cospec: matrix kind 'd' needs a connected graph\n")
     assert run_cli(capsys, "matrix", "--kind", "d", "A?") == want
+
+
+def test_disconnected_graph_has_one_message(capsys):
+    # fingerprint and relate report a disconnected graph as matrix does
+    want = (1, "", "cospec: matrix kind 'd' needs a connected graph\n")
+    for argv in (
+        ("matrix", "--kind", "d", "A?"),
+        ("fingerprint", "--kind", "d", "--flavor", "spectral", "A?"),
+        ("fingerprint", "--kind", "d", "--flavor", "gen-invariant", "--describe", "A?"),
+        ("relate", "--kind", "d", "--flavor", "invariant", "A?", "A_"),
+    ):
+        assert run_cli(capsys, *argv) == want
 
 
 def test_diff_paper_names_the_source_of_a_bad_line(tmp_path, monkeypatch, capsys):
