@@ -40,7 +40,6 @@ from .graphs import (
 from .intlinalg import (
     IntPolynomial,
     InvariantFactors,
-    RationalPolyDivisors,
     charpoly,
     cof_polynomial,
     determinant,

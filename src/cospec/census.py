@@ -229,7 +229,6 @@ class ExpectedCell:
     domain: Domain
     n: int
     value: int
-    long_running: bool
 
 
 _K = MatrixKind
@@ -297,27 +296,25 @@ def expected_tables():
     """Every published table cell as a machine-readable record."""
     cells = []
 
-    def add(table, row, kind, flavor, domain, n, value, long_n):
-        cells.append(
-            ExpectedCell(table, row, kind, flavor, domain, n, value, n >= long_n)
-        )
+    def add(*fields):
+        cells.append(ExpectedCell(*fields))
 
     for i, n in enumerate(_GENERAL_NS):
         for table in (1, 2):
-            add(table, "domain-size", None, None, Domain.CONNECTED, n, _SIZES_CONNECTED[i], 9)
-            add(table, "domain-size", None, None, Domain.CONNECTED_COMPLEMENT, n, _SIZES_CC[i], 9)
+            add(table, "domain-size", None, None, Domain.CONNECTED, n, _SIZES_CONNECTED[i])
+            add(table, "domain-size", None, None, Domain.CONNECTED_COMPLEMENT, n, _SIZES_CC[i])
         for kind, values in _TABLE1_GIN.items():
-            add(1, "gin", kind, Flavor.GEN_INVARIANT, _general_domain(kind), n, values[i], 9)
+            add(1, "gin", kind, Flavor.GEN_INVARIANT, _general_domain(kind), n, values[i])
         for kind, values in _TABLE2_GSP.items():
-            add(2, "gsp", kind, Flavor.GEN_SPECTRAL, _general_domain(kind), n, values[i], 9)
+            add(2, "gsp", kind, Flavor.GEN_SPECTRAL, _general_domain(kind), n, values[i])
     for i, n in enumerate(_DIAM2_NS):
-        add(3, "domain-size", None, None, Domain.DIAM2_PAIR, n, _SIZES_DIAM2[i], 10)
+        add(3, "domain-size", None, None, Domain.DIAM2_PAIR, n, _SIZES_DIAM2[i])
         for kind, values in _TABLE3_GSP.items():
-            add(3, "gsp", kind, Flavor.GEN_SPECTRAL, Domain.DIAM2_PAIR, n, values[i], 10)
+            add(3, "gsp", kind, Flavor.GEN_SPECTRAL, Domain.DIAM2_PAIR, n, values[i])
         for kind, values in _TABLE3_GIN.items():
-            add(3, "gin", kind, Flavor.GEN_INVARIANT, Domain.DIAM2_PAIR, n, values[i], 10)
+            add(3, "gin", kind, Flavor.GEN_INVARIANT, Domain.DIAM2_PAIR, n, values[i])
         for kind, values in _TABLE4_GIN.items():
-            add(4, "gin", kind, Flavor.GEN_INVARIANT, Domain.DIAM2_PAIR, n, values[i], 10)
+            add(4, "gin", kind, Flavor.GEN_INVARIANT, Domain.DIAM2_PAIR, n, values[i])
     return tuple(cells)
 
 

@@ -8,7 +8,8 @@ Exit codes: 0 success, 1 domain/input errors and unreadable files
 (one-line diagnostic on stderr), among them a --jobs below 1 and a census
 --n outside [2, 64]; census and diff-paper name the first bad line of
 their input at any --jobs. 2 usage errors, among them an unknown matrix
-kind, flavor or domain, whose message lists the accepted tokens.
+kind, flavor or domain, whose message lists the accepted tokens; a usage
+error prints the usage of its subcommand and names it.
 diff-paper exits 1 when any expected cell mismatches, when --max-n selects
 no cell, when a --graphs N names an n that no selected cell has, when a
 selected n above the bundled generator's bound has no --graphs N and when
@@ -88,19 +89,19 @@ def _token(enum, comma_list=False):
     return parse
 
 
-def _print_each_graph(args, parser, text):
+def _print_each_graph(args, text):
     """Print text(g) for the graph6 literal, or for each graph of --input.
 
     An error that text raises for a graph of --input names its line, as
     parse errors do, and keeps its type.
     """
     if args.graph is not None and args.input:
-        parser.error("give a graph6 literal or --input, not both")
+        args.usage_error("give a graph6 literal or --input, not both")
     if args.graph is not None:
         print(text(parse_graph6(args.graph)))
         return 0
     if not args.input:
-        parser.error("a graph6 literal or --input FILE is required")
+        args.usage_error("a graph6 literal or --input FILE is required")
     for lineno, g in list(iter_graph6_lines(_read_lines(args.input))):
         try:
             out = text(g)
@@ -110,34 +111,34 @@ def _print_each_graph(args, parser, text):
     return 0
 
 
-def _cmd_matrix(args, parser):
-    return _print_each_graph(args, parser, lambda g: format_matrix(build_matrix(g, args.kind)))
+def _cmd_matrix(args):
+    return _print_each_graph(args, lambda g: format_matrix(build_matrix(g, args.kind)))
 
 
-def _cmd_polynomial(args, parser):
+def _cmd_polynomial(args):
     def text(g):
         p = args.polynomial(build_matrix(g, args.kind))
         return json.dumps({"coeffs": list(p.coeffs)}) if args.format == "json" else str(p)
 
-    return _print_each_graph(args, parser, text)
+    return _print_each_graph(args, text)
 
 
-def _cmd_snf(args, parser):
+def _cmd_snf(args):
     return _print_each_graph(
-        args, parser, lambda g: format_factors(smith_normal_form(build_matrix(g, args.kind)))
+        args, lambda g: format_factors(smith_normal_form(build_matrix(g, args.kind)))
     )
 
 
-def _cmd_fingerprint(args, parser):
+def _cmd_fingerprint(args):
     def text(g):
         if args.describe:
             return describe_fingerprint(g, args.kind, args.flavor)
         return fingerprint(g, args.kind, args.flavor).hex()
 
-    return _print_each_graph(args, parser, text)
+    return _print_each_graph(args, text)
 
 
-def _cmd_relate(args, parser):
+def _cmd_relate(args):
     print(
         format_bool(
             related(
@@ -151,7 +152,7 @@ def _cmd_relate(args, parser):
     return 0
 
 
-def _cmd_codet(args, parser):
+def _cmd_codet(args):
     print(
         format_bool(
             is_codeterminantal_Qx(
@@ -162,19 +163,19 @@ def _cmd_codet(args, parser):
     return 0
 
 
-def _cmd_closed_form(args, parser):
+def _cmd_closed_form(args):
     if args.shape == "star":
         print(format_factors(star_snf(args.leaves)))
     elif args.shape == "multipartite":
         print(format_factors(multipartite_snf(args.parts, args.size, args.signless)))
     else:
         return _print_each_graph(
-            args, parser, lambda g: format_factors(tree_snf(TreeData.from_graph(g)))
+            args, lambda g: format_factors(tree_snf(TreeData.from_graph(g)))
         )
     return 0
 
 
-def _cmd_census(args, parser):
+def _cmd_census(args):
     spec = CensusSpec(
         n=args.n,
         domain=args.domain,
@@ -186,15 +187,15 @@ def _cmd_census(args, parser):
     return 0
 
 
-def _cmd_diff_paper(args, parser):
+def _cmd_diff_paper(args):
     sources = {}
     for item in args.graphs or []:
         n_text, _, pathname = item.partition("=")
         if not pathname or not n_text.strip().isdecimal():
-            parser.error("--graphs expects N=FILE")
+            args.usage_error("--graphs expects N=FILE")
         n = int(n_text)
         if n in sources:
-            parser.error(f"--graphs names n = {n} more than once")
+            args.usage_error(f"--graphs names n = {n} more than once")
         sources[n] = pathname
     results = diff_paper(max_n=args.max_n, sources=sources, jobs=args.jobs)
     failures = 0
@@ -223,6 +224,7 @@ def build_parser():
     def add_graph_input(p):
         p.add_argument("graph", nargs="?", help="graph6 literal")
         p.add_argument("--input", help="graph6 file, or - for stdin")
+        p.set_defaults(usage_error=p.error)
 
     p = sub.add_parser("matrix", help="print a graph matrix")
     p.add_argument("--kind", type=kind, required=True)
@@ -299,16 +301,15 @@ def build_parser():
                    help="external graph6 file for vertex count N, - for stdin "
                    "(repeatable; stdin for one N only)")
     p.add_argument("--jobs", type=int, default=None)
-    p.set_defaults(func=_cmd_diff_paper)
+    p.set_defaults(func=_cmd_diff_paper, usage_error=p.error)
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args, parser)
+        return args.func(args)
     except (CospecError, ValueError) as exc:
         print(f"cospec: {exc}", file=sys.stderr)
         return 1

@@ -37,7 +37,7 @@ class TreeData:
         data = distance_data(g)
         if not data.connected:
             raise ValueError("not a tree: graph is disconnected")
-        return cls(g, tuple(t - d for t, d in zip(data.trs, data.deg)))
+        return cls(g, tuple(t - d for t, d in zip(data.trs, g.degrees())))
 
 
 @dataclass(frozen=True)
@@ -179,6 +179,9 @@ def rho(t, U):
     verts = sorted(set(U))
     if not verts:
         raise ValueError("rho needs a nonempty vertex set")
+    for v in verts:
+        if not 0 <= v < t.tree.n:
+            raise ValueError(f"rho: vertex {v} is not in the tree (n = {t.tree.n})")
     _check_tree_size(t)
     pairs = list(combinations(verts, 2))
     cuts = []

@@ -90,6 +90,8 @@ def _connected(rows, mask):
 def from_edges(n, edges):
     rows = [0] * n
     for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) has a vertex outside [0, {n - 1}]")
         rows[u] |= 1 << v
         rows[v] |= 1 << u
     return Graph(n, tuple(rows))
@@ -310,7 +312,7 @@ def iter_graph6_lines(lines):
 
 @dataclass(frozen=True)
 class DistanceData:
-    """Per-pair hop counts plus the derived transmission/degree vectors.
+    """Per-pair hop counts plus the derived transmission vector.
 
     Unreachable pairs hold UNREACHABLE (-1); trs and diameter are None for
     disconnected graphs rather than pretending a value.
@@ -318,7 +320,6 @@ class DistanceData:
 
     dist: tuple
     trs: tuple
-    deg: tuple
     diameter: int
     connected: bool
 
@@ -345,12 +346,11 @@ def distance_data(g):
             d += 1
         connected = connected and seen == full
         dist.append(tuple(drow))
-    deg = tuple(r.bit_count() for r in rows)
     trs = diameter = None
     if connected:
         trs = tuple(sum(row) for row in dist)
         diameter = max(max(row) for row in dist)
-    return DistanceData(tuple(dist), trs, deg, diameter, connected)
+    return DistanceData(tuple(dist), trs, diameter, connected)
 
 
 # ---------------------------------------------------------------------------

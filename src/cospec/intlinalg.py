@@ -240,16 +240,10 @@ def smith_normal_form(m):
     return InvariantFactors(snf_diagonal(m))
 
 
-@dataclass(frozen=True)
-class RationalPolyDivisors:
-    """Monic gcds g_k of the k x k minors of xI - M over Q[x], k = 1..n."""
-
-    g: tuple  # tuple of tuples of Fraction, each ascending and monic
-
-
 def determinantal_gcds_Qx(m):
-    """For k = 1..n, the monic gcd over Q[x] of all k x k minors of xI - m,
-    for a symmetric integer m.
+    """For k = 1..n, the monic gcd g_k over Q[x] of all k x k minors of
+    xI - m, for a symmetric integer m, as a tuple of n coefficient tuples
+    of Fraction, each ascending and monic.
 
     The chain is read off the characteristic polynomial: g_n = det(xI - m)
     and g_(k-1) = gcd(g_k, g_k') for k = n .. 2. This is exact because a
@@ -265,4 +259,4 @@ def determinantal_gcds_Qx(m):
     for _ in range(len(m) - 1):
         g = pgcd(g, [k * c for k, c in enumerate(g)][1:])
         chain.append(g)
-    return RationalPolyDivisors(tuple(map(pmonic, reversed(chain))))
+    return tuple(map(pmonic, reversed(chain)))

@@ -12,7 +12,7 @@ from math import prod
 
 import pytest
 
-from cospec.census import CensusTask, Domain, expected_tables, sweep
+from cospec.census import CensusTask, Domain, _source_lines, expected_tables, sweep
 from cospec.closed_forms import TreeData, multipartite_snf, star_snf, tree_delta_n, tree_snf
 from cospec.graphs import (
     complement,
@@ -136,50 +136,25 @@ def test_criterion_03_tables34_reproduction():
            f"Tables 3-4 n=6..8 plus diam-2 kind-group count coincidences: {checked} checks exact {failures or ''}")
 
 
-N9_CELLS = {
-    ("domain-size", None): 6069,
-    ("gsp", K.ADJACENCY): 420,
-    ("gsp", K.LAPLACIAN): 952,
-    ("gsp", K.SIGNLESS_LAPLACIAN): 212,
-    ("gin", K.ADJACENCY): 5918,
-    ("gin", K.LAPLACIAN): 382,
-    ("gin", K.SIGNLESS_LAPLACIAN): 84,
-    ("gin", K.DISTANCE): 5206,
-    ("gin", K.DISTANCE_LAPLACIAN): 428,
-    ("gin", K.SIGNLESS_DISTANCE_LAPLACIAN): 84,
-    ("gin", K.DEGREE_DISTANCE): 96,
-    ("gin", K.SIGNLESS_DEGREE_DISTANCE): 1523,
-    ("gin", K.TRANSMISSION_ADJACENCY): 84,
-    ("gin", K.SIGNLESS_TRANSMISSION_ADJACENCY): 492,
-}
-
-
 def test_criterion_03_diam2_n9_external():
     pathname = os.environ.get("COSPEC_GRAPHS9")
     if not pathname:
         print("ACCEPTANCE 3 (n=9): SKIP - set COSPEC_GRAPHS9 to a graph6 file "
               "of all 9-vertex graphs to enable")
         pytest.skip("no external 9-vertex graph6 file supplied")
-    with open(pathname, "r", encoding="ascii") as handle:
-        lines = [line.rstrip("\n") for line in handle]
-    tasks = []
-    for (row, kind) in N9_CELLS:
-        if row == "gsp":
-            tasks.append(CensusTask(kind, F.GEN_SPECTRAL, D.DIAM2_PAIR))
-        elif row == "gin":
-            tasks.append(CensusTask(kind, F.GEN_INVARIANT, D.DIAM2_PAIR))
-    results, sizes = sweep(9, tasks, lines)
-    by_task = {t: r for t, r in zip(tasks, results)}
+    cells = [c for c in expected_tables() if c.n == 9 and c.domain is D.DIAM2_PAIR]
+    tasks = [CensusTask(c.kind, c.flavor, c.domain) for c in cells if c.row != "domain-size"]
+    results, sizes = sweep(9, tasks, _source_lines(9, pathname))
+    by_task = dict(zip(tasks, results))
     failures = []
-    for (row, kind), want in N9_CELLS.items():
-        if row == "domain-size":
-            actual = sizes[D.DIAM2_PAIR]
+    for cell in cells:
+        if cell.row == "domain-size":
+            actual = sizes[cell.domain]
         else:
-            flavor = F.GEN_SPECTRAL if row == "gsp" else F.GEN_INVARIANT
-            actual = by_task[CensusTask(kind, flavor, D.DIAM2_PAIR)].with_mate
-        if actual != want:
-            failures.append((row, kind, want, actual))
-    report("3 (n=9)", not failures, f"{len(N9_CELLS)} diam-2 cells at n=9 {failures or ''}")
+            actual = by_task[CensusTask(cell.kind, cell.flavor, cell.domain)].with_mate
+        if actual != cell.value:
+            failures.append((cell.row, cell.kind, cell.value, actual))
+    report("3 (n=9)", not failures, f"{len(cells)} diam-2 cells at n=9 {failures or ''}")
 
 
 def test_criterion_04_star_closed_form():

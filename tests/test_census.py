@@ -243,15 +243,27 @@ def test_expected_tables_literals():
         for c in cells
     }
     assert by[(2, "gsp", K.SIGNLESS_DISTANCE_LAPLACIAN, 7, D.CONNECTED_COMPLEMENT)].value == 4
-    assert by[(3, "domain-size", None, 9, D.DIAM2_PAIR)].value == 6069
-    assert by[(3, "gin", K.SIGNLESS_LAPLACIAN, 9, D.DIAM2_PAIR)].value == 84
-    assert by[(4, "gin", K.SIGNLESS_TRANSMISSION_ADJACENCY, 9, D.DIAM2_PAIR)].value == 492
     assert by[(1, "gin", K.TRANSMISSION_ADJACENCY, 8, D.CONNECTED_COMPLEMENT)].value == 32
-    # long-running flags: n >= 9 general tables, n >= 10 diam-2 tables
-    assert by[(1, "gin", K.ADJACENCY, 9, D.CONNECTED)].long_running
-    assert not by[(1, "gin", K.ADJACENCY, 8, D.CONNECTED)].long_running
-    assert not by[(3, "gin", K.LAPLACIAN, 9, D.DIAM2_PAIR)].long_running
-    assert by[(3, "gin", K.LAPLACIAN, 10, D.DIAM2_PAIR)].long_running
+    # a second copy of the paper's n = 9 diameter-2 cells (Tables 3 and 4)
+    n9_diam2 = {
+        (3, "domain-size", None): 6069,
+        (3, "gsp", K.ADJACENCY): 420,
+        (3, "gsp", K.LAPLACIAN): 952,
+        (3, "gsp", K.SIGNLESS_LAPLACIAN): 212,
+        (3, "gin", K.ADJACENCY): 5918,
+        (3, "gin", K.LAPLACIAN): 382,
+        (3, "gin", K.SIGNLESS_LAPLACIAN): 84,
+        (4, "gin", K.DISTANCE): 5206,
+        (4, "gin", K.DISTANCE_LAPLACIAN): 428,
+        (4, "gin", K.SIGNLESS_DISTANCE_LAPLACIAN): 84,
+        (4, "gin", K.DEGREE_DISTANCE): 96,
+        (4, "gin", K.SIGNLESS_DEGREE_DISTANCE): 1523,
+        (4, "gin", K.TRANSMISSION_ADJACENCY): 84,
+        (4, "gin", K.SIGNLESS_TRANSMISSION_ADJACENCY): 492,
+    }
+    assert {
+        (c.table, c.row, c.kind): c.value for c in cells if c.n == 9 and c.domain is D.DIAM2_PAIR
+    } == n9_diam2
 
 
 def test_diff_paper_small():

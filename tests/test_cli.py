@@ -175,6 +175,28 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 2
 
 
+def test_usage_errors_name_their_subcommand(capsys):
+    required = "a graph6 literal or --input FILE is required"
+    cases = [
+        (["matrix", "--kind", "a"], "matrix", required),
+        (["closed-form", "tree"], "closed-form tree", required),
+        (["snf", "--kind", "a", "Bw", "--input", "F"], "snf",
+         "give a graph6 literal or --input, not both"),
+        (["diff-paper", "--graphs", "5"], "diff-paper", "--graphs expects N=FILE"),
+        (["diff-paper", "--graphs", "5=a", "--graphs", "5=b"], "diff-paper",
+         "--graphs names n = 5 more than once"),
+    ]
+    for argv, command, message in cases:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        lines = err.splitlines()
+        assert out == ""
+        assert lines[0].startswith(f"usage: cospec {command} [-h]")
+        assert lines[-1] == f"cospec {command}: error: {message}"
+
+
 def test_bad_tokens_are_usage_errors(capsys):
     # exit 2, and the message lists every accepted token
     cases = [

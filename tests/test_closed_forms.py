@@ -107,6 +107,10 @@ def test_rho_examples():
         assert rho(k14, leaves) == len(leaves)
     with pytest.raises(ValueError):
         rho(p3, ())
+    for U, bad in [((0, 7), 7), ((-1, 0), -1), ((3,), 3)]:
+        with pytest.raises(ValueError) as exc:
+            rho(p3, U)
+        assert str(exc.value) == f"rho: vertex {bad} is not in the tree (n = 3)"
 
 
 def test_rho_matches_its_definition():

@@ -165,6 +165,10 @@ def test_graph_validation():
         Graph(2, (1 << 0, 1))  # loop at 0
     with pytest.raises(ValueError):
         Graph(0, ())
+    for edges, bad in [([(0, 3)], "(0, 3)"), ([(0, 1), (-1, 2)], "(-1, 2)")]:
+        with pytest.raises(ValueError) as exc:
+            from_edges(3, edges)
+        assert str(exc.value) == f"edge {bad} has a vertex outside [0, 2]"
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +201,7 @@ def test_distance_p3():
 def test_distance_star():
     dd = distance_data(star(3))  # hub is vertex 3
     assert dd.trs == (5, 5, 5, 3)
-    assert dd.deg == (1, 1, 1, 3)
+    assert star(3).degrees() == (1, 1, 1, 3)
     assert dd.diameter == 2
 
 
@@ -234,7 +238,7 @@ def test_distance_data_matches_networkx():
                 assert dd.dist == tuple(
                     tuple(lengths[u].get(v, -1) for v in range(n)) for u in range(n)
                 )
-                assert dd.deg == tuple(d for _, d in sorted(ref.degree()))
+                assert h.degrees() == tuple(d for _, d in sorted(ref.degree()))
                 assert dd.connected == nx.is_connected(ref)
                 if dd.connected:
                     assert dd.trs == tuple(sum(lengths[u].values()) for u in range(n))

@@ -168,7 +168,7 @@ def test_regularity_relations():
     for g in (cycle(5), complete(4), cycle(4), complete(6), cycle(6), cycle(7), _cube()):
         data = distance_data(g)
         n = g.n
-        s_values = {t + d for t, d in zip(data.trs, data.deg)}
+        s_values = {t + d for t, d in zip(data.trs, g.degrees())}
         assert len(s_values) == 1
         s = s_values.pop()
         assert s >= 2 * (n - 1)
@@ -214,6 +214,6 @@ def test_row_sums():
         dl = build_matrix(g, K.DISTANCE_LAPLACIAN)
         assert all(sum(row) == 0 for row in dl)
         q = build_matrix(g, K.SIGNLESS_LAPLACIAN)
-        assert [sum(row) for row in q] == [2 * d for d in data.deg]
+        assert [sum(row) for row in q] == [2 * d for d in g.degrees()]
         dq = build_matrix(g, K.SIGNLESS_DISTANCE_LAPLACIAN)
         assert [sum(row) for row in dq] == [2 * t for t in data.trs]
