@@ -4,6 +4,14 @@ Every subcommand is a thin adapter over the library: it parses tokens,
 calls the corresponding function, and prints its serialized value, so the
 output is byte-identical to serializing the library call directly.
 
+Each subcommand's parser stores what it prints as data, and one function
+runs every subcommand of a shape. The per-graph commands (matrix,
+charpoly, cof, snf, fingerprint, closed-form tree) store a renderer
+text(args, g); _cmd_each_graph prints it for a graph6 literal, or for each
+graph of --input FILE or --input - (stdin), after parsing every line of
+the input. The pair commands (relate, codet) take two graph6 literals and
+store a relation(args, g, h); _cmd_pair prints it as true or false.
+
 Exit codes: 0 success, 1 domain/input errors and unreadable files
 (one-line diagnostic on stderr), among them a --jobs below 1 and a census
 --n outside [2, 64]; census and diff-paper name the first bad line of
@@ -89,89 +97,49 @@ def _token(enum, comma_list=False):
     return parse
 
 
-def _print_each_graph(args, text):
-    """Print text(g) for the graph6 literal, or for each graph of --input.
+def _cmd_each_graph(args):
+    """Print args.text(args, g) for the graph6 literal, or for each graph of
+    --input.
 
-    An error that text raises for a graph of --input names its line, as
-    parse errors do, and keeps its type.
+    Every line of --input is parsed before anything is printed. An error
+    that text raises for a graph of --input names its line, as parse errors
+    do, and keeps its type.
     """
     if args.graph is not None and args.input:
         args.usage_error("give a graph6 literal or --input, not both")
     if args.graph is not None:
-        print(text(parse_graph6(args.graph)))
+        print(args.text(args, parse_graph6(args.graph)))
         return 0
     if not args.input:
         args.usage_error("a graph6 literal or --input FILE is required")
     for lineno, g in list(iter_graph6_lines(_read_lines(args.input))):
         try:
-            out = text(g)
+            out = args.text(args, g)
         except (CospecError, ValueError) as exc:
             raise at_line(exc, lineno) from exc
         print(out)
     return 0
 
 
-def _cmd_matrix(args):
-    return _print_each_graph(args, lambda g: format_matrix(build_matrix(g, args.kind)))
+def _polynomial_text(args, g):
+    p = args.polynomial(build_matrix(g, args.kind))
+    return json.dumps({"coeffs": list(p.coeffs)}) if args.format == "json" else str(p)
 
 
-def _cmd_polynomial(args):
-    def text(g):
-        p = args.polynomial(build_matrix(g, args.kind))
-        return json.dumps({"coeffs": list(p.coeffs)}) if args.format == "json" else str(p)
-
-    return _print_each_graph(args, text)
+def _fingerprint_text(args, g):
+    if args.describe:
+        return describe_fingerprint(g, args.kind, args.flavor)
+    return fingerprint(g, args.kind, args.flavor).hex()
 
 
-def _cmd_snf(args):
-    return _print_each_graph(
-        args, lambda g: format_factors(smith_normal_form(build_matrix(g, args.kind)))
-    )
-
-
-def _cmd_fingerprint(args):
-    def text(g):
-        if args.describe:
-            return describe_fingerprint(g, args.kind, args.flavor)
-        return fingerprint(g, args.kind, args.flavor).hex()
-
-    return _print_each_graph(args, text)
-
-
-def _cmd_relate(args):
-    print(
-        format_bool(
-            related(
-                parse_graph6(args.graph_a),
-                parse_graph6(args.graph_b),
-                args.kind,
-                args.flavor,
-            )
-        )
-    )
-    return 0
-
-
-def _cmd_codet(args):
-    print(
-        format_bool(
-            is_codeterminantal_Qx(
-                parse_graph6(args.graph_a), parse_graph6(args.graph_b), args.kind
-            )
-        )
-    )
+def _cmd_pair(args):
+    g, h = parse_graph6(args.graph_a), parse_graph6(args.graph_b)
+    print(format_bool(args.relation(args, g, h)))
     return 0
 
 
 def _cmd_closed_form(args):
-    if args.shape == "star":
-        print(format_factors(star_snf(args.leaves)))
-    elif args.shape == "multipartite":
-        print(format_factors(multipartite_snf(args.parts, args.size, args.signless)))
-    else:
-        return _print_each_graph(
-            args, lambda g: format_factors(tree_snf(TreeData.from_graph(g)))
-        )
+    print(format_factors(args.factors(args)))
     return 0
 
 
@@ -221,66 +189,56 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     kind, flavor = _token(MatrixKind), _token(Flavor)
 
-    def add_graph_input(p):
+    def add_kind(name, summary, with_flavor=False):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--kind", type=kind, required=True)
+        if with_flavor:
+            p.add_argument("--flavor", type=flavor, required=True)
+        return p
+
+    def add_graph_input(p, text):
         p.add_argument("graph", nargs="?", help="graph6 literal")
         p.add_argument("--input", help="graph6 file, or - for stdin")
-        p.set_defaults(usage_error=p.error)
+        p.set_defaults(func=_cmd_each_graph, text=text, usage_error=p.error)
 
-    p = sub.add_parser("matrix", help="print a graph matrix")
-    p.add_argument("--kind", type=kind, required=True)
-    add_graph_input(p)
-    p.set_defaults(func=_cmd_matrix)
+    def add_pair(p, relation):
+        p.add_argument("graph_a")
+        p.add_argument("graph_b")
+        p.set_defaults(func=_cmd_pair, relation=relation)
 
-    p = sub.add_parser("charpoly", help="characteristic polynomial det(xI - M)")
-    p.add_argument("--kind", type=kind, required=True)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    add_graph_input(p)
-    p.set_defaults(func=_cmd_polynomial, polynomial=charpoly)
-
-    p = sub.add_parser("cof", help="cofactor-sum polynomial of xI - M")
-    p.add_argument("--kind", type=kind, required=True)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    add_graph_input(p)
-    p.set_defaults(func=_cmd_polynomial, polynomial=cof_polynomial)
-
-    p = sub.add_parser("snf", help="Smith normal form invariant factors")
-    p.add_argument("--kind", type=kind, required=True)
-    add_graph_input(p)
-    p.set_defaults(func=_cmd_snf)
-
-    p = sub.add_parser("fingerprint", help="canonical equivalence-class key")
-    p.add_argument("--kind", type=kind, required=True)
-    p.add_argument("--flavor", type=flavor, required=True)
+    add_graph_input(add_kind("matrix", "print a graph matrix"),
+                    lambda a, g: format_matrix(build_matrix(g, a.kind)))
+    for name, summary, polynomial in (
+        ("charpoly", "characteristic polynomial det(xI - M)", charpoly),
+        ("cof", "cofactor-sum polynomial of xI - M", cof_polynomial),
+    ):
+        p = add_kind(name, summary)
+        p.add_argument("--format", choices=("text", "json"), default="text")
+        p.set_defaults(polynomial=polynomial)
+        add_graph_input(p, _polynomial_text)
+    add_graph_input(add_kind("snf", "Smith normal form invariant factors"),
+                    lambda a, g: format_factors(smith_normal_form(build_matrix(g, a.kind))))
+    p = add_kind("fingerprint", "canonical equivalence-class key", with_flavor=True)
     p.add_argument("--describe", action="store_true", help="human-readable form")
-    add_graph_input(p)
-    p.set_defaults(func=_cmd_fingerprint)
-
-    p = sub.add_parser("relate", help="test a pairwise relation")
-    p.add_argument("--kind", type=kind, required=True)
-    p.add_argument("--flavor", type=flavor, required=True)
-    p.add_argument("graph_a")
-    p.add_argument("graph_b")
-    p.set_defaults(func=_cmd_relate)
-
-    p = sub.add_parser("codet", help="Q[x] codeterminantality of xI - M")
-    p.add_argument("--kind", type=kind, required=True)
-    p.add_argument("graph_a")
-    p.add_argument("graph_b")
-    p.set_defaults(func=_cmd_codet)
+    add_graph_input(p, _fingerprint_text)
+    add_pair(add_kind("relate", "test a pairwise relation", with_flavor=True),
+             lambda a, g, h: related(g, h, a.kind, a.flavor))
+    add_pair(add_kind("codet", "Q[x] codeterminantality of xI - M"),
+             lambda a, g, h: is_codeterminantal_Qx(g, h, a.kind))
 
     p = sub.add_parser("closed-form", help="closed-form SNF chains")
     shapes = p.add_subparsers(dest="shape", required=True)
     ps = shapes.add_parser("star", help="star with given leaf count")
     ps.add_argument("--leaves", type=int, required=True)
-    ps.set_defaults(func=_cmd_closed_form)
+    ps.set_defaults(func=_cmd_closed_form, factors=lambda a: star_snf(a.leaves))
     pm = shapes.add_parser("multipartite", help="complete multipartite, equal parts")
     pm.add_argument("--parts", "-m", type=int, required=True)
     pm.add_argument("--size", "-s", type=int, required=True)
     pm.add_argument("--signless", action="store_true")
-    pm.set_defaults(func=_cmd_closed_form)
-    pt = shapes.add_parser("tree", help="tree SNF via 2-matching minors")
-    add_graph_input(pt)
-    pt.set_defaults(func=_cmd_closed_form)
+    pm.set_defaults(func=_cmd_closed_form,
+                    factors=lambda a: multipartite_snf(a.parts, a.size, a.signless))
+    add_graph_input(shapes.add_parser("tree", help="tree SNF via 2-matching minors"),
+                    lambda a, g: format_factors(tree_snf(TreeData.from_graph(g))))
 
     p = sub.add_parser("census", help="bucket graphs by fingerprint and count mates")
     p.add_argument("--n", type=int, required=True)

@@ -552,6 +552,10 @@ def _tree_center(n, rows):
     removed = [False] * n
     while len(alive) > 2:
         leaves = [v for v in alive if deg[v] == 1]
+        if not leaves:
+            # with n - 1 edges, a graph whose peeling stalls on a cycle is
+            # disconnected
+            raise ValueError("not a tree: graph is disconnected")
         for v in leaves:
             removed[v] = True
             r = rows[v]
@@ -578,7 +582,10 @@ def _ahu(rows, v, parent):
 
 def tree_key(g):
     """Canonical string for a tree of any supported size, via center-rooted
-    AHU encoding (min over the one or two centers)."""
+    AHU encoding (min over the one or two centers). Raises ValueError for
+    a graph that is not a tree."""
+    if g.edge_count != g.n - 1:
+        raise ValueError("not a tree: edge count differs from n - 1")
     centers = _tree_center(g.n, g.rows)
     return min(_ahu(g.rows, c, -1) for c in centers)
 

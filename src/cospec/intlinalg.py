@@ -28,6 +28,8 @@ def ones_matrix(n):
 def determinant(m):
     """Exact determinant by fraction-free (Bareiss) elimination."""
     n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("determinant needs a square matrix")
     if n == 0:
         return 1
     a = [row[:] for row in m]
@@ -236,7 +238,10 @@ def snf_diagonal(m):
 
 
 def smith_normal_form(m):
-    """Smith normal form of an integer matrix, as its invariant factors."""
+    """Smith normal form of a square integer matrix, as its invariant
+    factors."""
+    if any(len(row) != len(m) for row in m):
+        raise ValueError("smith_normal_form needs a square matrix")
     return InvariantFactors(snf_diagonal(m))
 
 

@@ -149,11 +149,44 @@ def test_census_input_dash_reads_stdin(tmp_path, monkeypatch, capsys):
     assert from_file[0] == 0 and from_file[1].endswith("q,gen-spectral,5,21,2,2/21\n")
 
 
-def test_batch_input_file(tmp_path, capsys):
+def test_batch_input_file(tmp_path, monkeypatch, capsys):
     src = tmp_path / "graphs.g6"
     src.write_text(">>graph6<<\nA_\nBw\n", encoding="ascii")
     code, out, _ = run_cli(capsys, "snf", "--kind", "l", "--input", str(src))
     assert code == 0 and out == "1 0\n1 3 0\n"
+    # every per-graph command prints the same bytes for the literals, for
+    # --input FILE and for --input -
+    trees = ["Bg", "Ch", "CF", "DqG", "Ds_"]
+    data = (">>graph6<<\n" + "\n".join(trees) + "\n").encode("ascii")
+    src.write_bytes(data)
+    for argv in [
+        ("matrix", "--kind", "atrs"),
+        ("charpoly", "--kind", "q"),
+        ("charpoly", "--kind", "dl", "--format", "json"),
+        ("cof", "--kind", "a"),
+        ("cof", "--kind", "ddeg", "--format", "json"),
+        ("snf", "--kind", "d"),
+        ("fingerprint", "--kind", "l", "--flavor", "r-spectral"),
+        ("fingerprint", "--kind", "q", "--flavor", "gen-invariant", "--describe"),
+        ("closed-form", "tree"),
+    ]:
+        literals = [run_cli(capsys, *argv, t) for t in trees]
+        assert all(code == 0 and out and err == "" for code, out, err in literals)
+        want = (0, "".join(out for _, out, _ in literals), "")
+        assert run_cli(capsys, *argv, "--input", str(src)) == want
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="ascii"))
+        assert run_cli(capsys, *argv, "--input", "-") == want
+
+
+def test_help_of_every_subcommand(capsys):
+    for command in ["matrix", "charpoly", "cof", "snf", "fingerprint", "relate", "codet",
+                    "closed-form", "closed-form star", "closed-form multipartite",
+                    "closed-form tree", "census", "diff-paper"]:
+        with pytest.raises(SystemExit) as exc:
+            main(command.split() + ["--help"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 0 and err == ""
+        assert out.startswith(f"usage: cospec {command} [-h]")
 
 
 def test_domain_error_exit_code(capsys):

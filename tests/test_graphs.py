@@ -444,6 +444,21 @@ def test_generate_trees():
         generate_trees(13)
 
 
+def test_tree_key_refuses_a_non_tree():
+    # a cycle once stalled the leaf peeling forever; a forest with n - 1
+    # edges or fewer is refused as well
+    for g, why in [
+        (cycle(4), "edge count"),
+        (from_edges(4, [(0, 1), (2, 3)]), "edge count"),
+        (from_edges(5, [(0, 1), (1, 2), (2, 0), (3, 4)]), "disconnected"),
+        (disjoint_union(star(3), complete(1)), "edge count"),
+        (disjoint_union(cycle(3), complete(1)), "disconnected"),
+    ]:
+        with pytest.raises(ValueError, match=f"not a tree: .*{why}"):
+            tree_key(g)
+    assert tree_key(complete(1)) == "()" and tree_key(path(2)) == "(())"
+
+
 # ---------------------------------------------------------------------------
 # graph6 line streams
 

@@ -203,6 +203,17 @@ def test_charpoly_rejects_non_symmetric():
         cof_polynomial([[1, 2, 3], [2, 1, 0], [3, 1, 1]])
 
 
+def test_determinant_and_snf_reject_non_square():
+    # a 2 x 3 matrix once gave the determinant of its left 2 x 2 block, and
+    # a 3 x 2 one three invariant factors
+    for m in ([[1, 2, 3], [4, 5, 6]], [[1, 0], [0, 1], [0, 0]], [[1, 0], [0]]):
+        with pytest.raises(ValueError, match="square"):
+            determinant(m)
+        with pytest.raises(ValueError, match="square"):
+            smith_normal_form(m)
+    assert determinant([]) == 1 and tuple(smith_normal_form([])) == ()
+
+
 def test_charpoly_decode_check(monkeypatch):
     # a digit size too small for the coefficients must not decode silently
     monkeypatch.setattr(cospec.intlinalg, "isqrt", lambda v: 0)
