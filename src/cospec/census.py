@@ -5,10 +5,22 @@ main process adds each line's domain flags and keys to the totals once,
 taking the line results in input order. Graphs are bucketed by exact
 fingerprint byte keys; a graph "has a mate" when its bucket holds at least
 two graphs, so with_mate is the sum of the sizes of all buckets of size
->= 2. Buckets store counts only, never whole graphs or line numbers, and
-merging count maps is commutative, so rows do not depend on input order or
-worker count; neither does a diagnostic, which names the first bad line of
-the input at any worker count.
+>= 2. Merging count maps is commutative, so rows do not depend on input
+order or worker count; neither does a diagnostic, which names the first
+bad line of the input at any worker count.
+
+A sweep makes two passes over the input through one worker Pool. An SNF
+task is deferred when, for each of its SNF sides, a task of the same kind
+computes that side's charpoly block on a domain containing its own. In the
+first pass a deferred task keys each graph by snf_prefix, read off those
+charpoly blocks, and the merge keeps one pending line number per prefix.
+Equal SNF keys have equal prefixes, so a graph alone in its prefix class is
+alone in its SNF bucket, and keeps the prefix as its key. When a second
+graph brings a prefix, both lines are marked; the second pass parses each
+marked line once more, computes the SNF blocks its marked tasks need, and
+the full keys replace the shared prefix buckets. Buckets hold counts only,
+never whole graphs; the line numbers of the first pass are dropped when
+the sweep returns.
 """
 
 from __future__ import annotations
@@ -19,6 +31,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from itertools import islice, takewhile
 from multiprocessing import Pool
 
 from .errors import CensusInputError, ConsistencyError, CospecError, _prefixed, at_line
@@ -94,7 +107,13 @@ class CensusSpec:
 @dataclass(frozen=True)
 class CensusRow:
     """Bucket counts of one (kind, flavor, domain) task over the n-vertex
-    graphs of its domain; with_mate and uncertainty derive from them."""
+    graphs of its domain; with_mate and uncertainty derive from them.
+
+    buckets counts the graphs per full fingerprint, except that a graph
+    alone in its prefix class of a deferred SNF task (see sweep) is counted
+    under its prefix key, b"P..."; such a graph is alone in its fingerprint
+    bucket too, so with_mate and len(buckets) are those of the full
+    fingerprints."""
 
     task: CensusTask
     n: int
@@ -122,35 +141,114 @@ class CensusRow:
 # per-graph fingerprint computation shared by all tasks of a sweep
 
 
-def _graph_task_keys(n, tasks, numbered):
-    """Domain membership flags and (task_index, key) pairs of one
-    (lineno, line); None for a line outside every domain. A CospecError
-    raised for the line names it."""
+def _deferred_tasks(tasks):
+    """Indices of the SNF tasks whose first-pass key is snf_prefix: those
+    where, for each SNF side, a task of the same kind computes that side's
+    charpoly block on a domain containing theirs, so the block is already
+    at hand for every graph of the task's domain."""
+    depth = list(Domain).index  # connected > with connected complement > diam2-pair
+    charpoly = {}  # (kind, side) -> depth of the largest domain computing it
+    for t in tasks:
+        for op, side in t.flavor.components:
+            if op == "charpoly":
+                key = (t.kind, side)
+                charpoly[key] = min(charpoly.get(key, len(Domain)), depth(t.domain))
+    out = set()
+    for ti, t in enumerate(tasks):
+        sides = [side for op, side in t.flavor.components if op == "snf"]
+        if sides and all(charpoly.get((t.kind, s), len(Domain)) <= depth(t.domain) for s in sides):
+            out.add(ti)
+    return frozenset(out)
+
+
+_COFACTOR_KINDS = (MatrixKind.LAPLACIAN, MatrixKind.DISTANCE_LAPLACIAN)
+
+
+def snf_prefix(kind, charpolys):
+    """Prefix key of an SNF fingerprint, read off the charpoly block
+    (ascending) of each of its sides: the rank, and the top determinantal
+    divisor d_rank where the charpoly gives it, which is |c_0| for a
+    nonsingular matrix and |c_1| / n for an l or dl matrix of rank n - 1
+    (its adjugate is a multiple of J). Both are functions of the SNF, so
+    equal SNF keys have equal prefixes. The leading "P" keeps a prefix
+    apart from every full key, which is decimal text."""
+    parts = []
+    for c in charpolys:
+        n = len(c) - 1
+        zeros = next(k for k, v in enumerate(c) if v)  # c is monic
+        if zeros == 0:
+            parts.append(f"{n},{abs(c[0])}")
+        elif zeros == 1 and kind in _COFACTOR_KINDS:
+            parts.append(f"{n - 1},{abs(c[1]) // n}")
+        else:
+            parts.append(str(n - zeros))
+    return ("P" + ";".join(parts)).encode("ascii")
+
+
+def _line_sides(n, line):
+    """((graph, DistanceData), (complement, DistanceData)) of one data
+    line, or None for a graph outside every domain."""
+    g = parse_graph6(line)
+    if g.n != n:
+        raise CensusInputError(f"expected {n} vertices, got {g.n}")
+    dd = distance_data(g)
+    if not dd.connected:
+        return None
+    cg = complement(g)
+    return (g, dd), (cg, distance_data(cg))
+
+
+def _blocks(sides):
+    # the block functions are read from this module per line, so that
+    # patched attributes apply
+    return _Blocks(sides, build_matrix, charpoly_coeffs, snf_diagonal)
+
+
+def _full_key(blocks, task):
+    kind = task.kind
+    ints = [blocks.block(op, kind, side) for op, side in task.flavor.components]
+    return compose_key(kind, task.flavor, ints)
+
+
+def _graph_task_keys(n, tasks, deferred, numbered):
+    """First pass: domain membership flags and (task_index, key) pairs of
+    one (lineno, line), with the snf_prefix key for a deferred task; None
+    for a line outside every domain. A CospecError raised for the line
+    names it."""
     lineno, line = numbered
     try:
-        g = parse_graph6(line)
-        if g.n != n:
-            raise CensusInputError(f"expected {n} vertices, got {g.n}")
-        dd = distance_data(g)
-        if not dd.connected:
+        sides = _line_sides(n, line)
+        if sides is None:
             return None  # outside every census domain
-        cg = complement(g)
-        cdd = distance_data(cg)
+        (_, dd), (_, cdd) = sides
         member = {
             Domain.CONNECTED: True,
             Domain.CONNECTED_COMPLEMENT: cdd.connected,
             Domain.DIAM2_PAIR: cdd.connected and dd.diameter == 2 and cdd.diameter == 2,
         }
-        # the block functions are read from this module per line, so that
-        # patched attributes apply
-        blocks = _Blocks(((g, dd), (cg, cdd)), build_matrix, charpoly_coeffs, snf_diagonal)
+        blocks = _blocks(sides)
         out = []
         for ti, task in enumerate(tasks):
             if member[task.domain]:
-                kind = task.kind
-                ints = [blocks.block(op, kind, side) for op, side in task.flavor.components]
-                out.append((ti, compose_key(kind, task.flavor, ints)))
+                if ti in deferred:
+                    kind = task.kind
+                    charpolys = [blocks.block("charpoly", kind, side)
+                                 for _, side in task.flavor.components]
+                    out.append((ti, snf_prefix(kind, charpolys)))
+                else:
+                    out.append((ti, _full_key(blocks, task)))
         return member, out
+    except CospecError as exc:
+        raise at_line(exc, lineno) from exc
+
+
+def _refined_keys(n, tasks, marked):
+    """Second pass: the (task_index, full key) pairs of one (lineno, line,
+    task indices) whose prefixes collided."""
+    lineno, line, indices = marked
+    try:
+        blocks = _blocks(_line_sides(n, line))
+        return [(ti, _full_key(blocks, tasks[ti])) for ti in indices]
     except CospecError as exc:
         raise at_line(exc, lineno) from exc
 
@@ -164,29 +262,94 @@ def _job_count(jobs):
     return jobs
 
 
+def _chunk_size(count, jobs):
+    """Batches of at most 250 items, about two or more per worker."""
+    return max(1, min(250, (count + 2 * jobs - 1) // (2 * jobs)))
+
+
+def _map_batch(fn, batch):
+    return [fn(item) for item in batch]
+
+
+def _imap(pool, fn, items, size):
+    """fn over items in order: map for pool None, else batches of size
+    items through the pool. Once a batch raises, the pool is fed no further
+    batches, and the batches already sent are taken before the error is
+    raised again: leaving the Pool while its workers are busy can kill one
+    that holds the lock of the result pipe, and Pool.terminate then waits
+    forever for its task thread."""
+    if pool is None:
+        yield from map(fn, items)
+        return
+    stop = []
+    items = takewhile(lambda _: not stop, items)
+    batches = iter(lambda: list(islice(items, size)), [])
+    results = pool.imap(partial(_map_batch, fn), batches)
+    while True:
+        try:
+            batch = next(results)
+        except StopIteration:
+            return
+        except Exception:
+            stop.append(True)
+            while True:  # errors after the first are dropped
+                try:
+                    next(results)
+                except StopIteration:
+                    break
+                except Exception:
+                    pass
+            raise
+        yield from batch
+
+
 def sweep(n, tasks, lines, jobs=None):
-    """Run every task over a sequence of graph6 lines in one pass.
+    """Run every task over a sequence of graph6 lines: one pass over every
+    line, then one over the lines whose deferred SNF prefixes collided.
 
     Returns (list of CensusRow aligned with tasks, domain size dict).
     """
     tasks = list(tasks)
     jobs = _job_count(jobs)
-    # batches of at most 250 lines, about two or more per worker, and never
-    # more workers than batches
-    chunk_size = max(1, min(250, (len(lines) + 2 * jobs - 1) // (2 * jobs)))
+    chunk_size = _chunk_size(len(lines), jobs)
+    # never more workers than batches
     workers = min(jobs, (len(lines) + chunk_size - 1) // chunk_size)
-    numbered = _data_lines(lines)
-    work = partial(_graph_task_keys, n, tasks)
+    deferred = _deferred_tasks(tasks)
     buckets = [Counter() for _ in tasks]
     sizes = {d: 0 for d in Domain}
+    # per deferred task, prefix -> line number of its one graph so far, or
+    # None once a second graph has brought it
+    pending = {ti: {} for ti in deferred}
+    marked = {}  # line number -> deferred task indices to refine
     with Pool(workers) if workers > 1 else nullcontext() as pool:
-        for res in pool.imap(work, numbered, chunk_size) if pool else map(work, numbered):
+        first = _imap(pool, partial(_graph_task_keys, n, tasks, deferred), _data_lines(lines),
+                      chunk_size)
+        for (lineno, _), res in zip(_data_lines(lines), first):
             if res is None:
                 continue
             member, keys = res
             for d in Domain:
                 if member[d]:
                     sizes[d] += 1
+            for ti, key in keys:
+                if ti not in deferred:
+                    buckets[ti][key] += 1
+                    continue
+                seen = pending[ti]
+                if key not in seen:
+                    seen[key] = lineno
+                    buckets[ti][key] = 1
+                    continue
+                other = seen[key]
+                if other is not None:
+                    seen[key] = None
+                    del buckets[ti][key]
+                    marked.setdefault(other, []).append(ti)
+                marked.setdefault(lineno, []).append(ti)
+        todo = ((lineno, line, marked[lineno]) for lineno, line in _data_lines(lines)
+                if lineno in marked)
+        for keys in _imap(pool, partial(_refined_keys, n, tasks), todo,
+                          _chunk_size(len(marked), jobs)):
             for ti, key in keys:
                 buckets[ti][key] += 1
     rows = [CensusRow(t, n, sizes[t.domain], b) for t, b in zip(tasks, buckets)]

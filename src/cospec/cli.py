@@ -33,7 +33,7 @@ import sys
 
 from .census import CensusSpec, Domain, diff_paper, run_census
 from .closed_forms import TreeData, multipartite_snf, star_snf, tree_snf
-from .errors import CospecError, at_line
+from .errors import CospecError, _prefixed, at_line
 from .graphs import _read_lines, iter_graph6_lines, parse_graph6
 from .intlinalg import charpoly, cof_polynomial, format_factors, smith_normal_form
 from .invariants import (
@@ -133,8 +133,13 @@ def _fingerprint_text(args, g):
 
 
 def _cmd_pair(args):
-    g, h = parse_graph6(args.graph_a), parse_graph6(args.graph_b)
-    print(format_bool(args.relation(args, g, h)))
+    graphs = []
+    for position, literal in (("first", args.graph_a), ("second", args.graph_b)):
+        try:
+            graphs.append(parse_graph6(literal))
+        except CospecError as exc:
+            raise _prefixed(exc, f"{position} graph: ") from exc
+    print(format_bool(args.relation(args, *graphs)))
     return 0
 
 

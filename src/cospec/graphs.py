@@ -72,6 +72,15 @@ class Graph:
         return _connected(self.rows, (1 << self.n) - 1)
 
 
+def _graph(n, rows):
+    """Graph(n, rows) without the checks of __post_init__, for a rows tuple
+    that is loop-free, symmetric and within n by construction."""
+    g = object.__new__(Graph)
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "rows", rows)
+    return g
+
+
 def _connected(rows, mask):
     """Whether the vertices of the nonzero bitset mask induce a connected
     subgraph of the graph with adjacency rows."""
@@ -139,7 +148,7 @@ def disjoint_union(g, h):
 def complement(g):
     """Off-diagonal negation; complement(complement(g)) == g."""
     full = (1 << g.n) - 1
-    return Graph(g.n, tuple((full ^ r ^ (1 << v)) for v, r in enumerate(g.rows)))
+    return _graph(g.n, tuple((full ^ r ^ (1 << v)) for v, r in enumerate(g.rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +225,7 @@ def parse_graph6(s):
             u = v - low.bit_length()
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-    return Graph(n, tuple(rows))
+    return _graph(n, tuple(rows))
 
 
 def write_graph6(g):

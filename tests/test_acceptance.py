@@ -170,12 +170,26 @@ def test_criterion_04_star_closed_form():
     report(4, ok, f"star chains k=2..30 match direct SNF both kinds {failures or ''}")
 
 
-def test_criterion_05_star_determination():
+def test_criterion_05_star_determination(monkeypatch):
+    # the paper sweep keys a graph that is alone in its charpoly prefix
+    # class by that prefix; with the prefix forced to a constant, the same
+    # deferred tasks key every graph by its full SNF fingerprint
+    import cospec.census as census
+
+    monkeypatch.setattr(census, "snf_prefix", lambda kind, charpolys: b"P")
+    kinds = (K.TRANSMISSION_ADJACENCY, K.SIGNLESS_TRANSMISSION_ADJACENCY)
     failures = []
     for n in range(5, 9):
         by_task, _ = paper_sweep(n)
-        for kind in (K.TRANSMISSION_ADJACENCY, K.SIGNLESS_TRANSMISSION_ADJACENCY):
-            res = by_task[CensusTask(kind, F.INVARIANT, D.CONNECTED)]
+        tasks = [CensusTask(kind, flavor, D.CONNECTED)
+                 for kind in kinds for flavor in (F.SPECTRAL, F.INVARIANT)]
+        forced = dict(zip(tasks, sweep(n, tasks, connected_graph6_lines(n))[0]))
+        for kind in kinds:
+            task = CensusTask(kind, F.INVARIANT, D.CONNECTED)
+            res = forced[task]
+            paper = by_task[task]
+            if (paper.with_mate, len(paper.buckets)) != (res.with_mate, len(res.buckets)):
+                failures.append((n, kind.value, "paper sweep differs"))
             key = fingerprint(star(n - 1), kind, F.INVARIANT)
             if key != compose_key(kind, F.INVARIANT, [star_snf(n - 1).d]):
                 failures.append((n, kind.value, "star key is not the closed form"))

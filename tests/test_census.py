@@ -129,6 +129,31 @@ def test_pool_never_has_more_workers_than_batches(monkeypatch):
     assert asked == [21, 2]
 
 
+def _fails_on_zero(x):
+    if x == 0:
+        raise CensusInputError("zero")
+    return x
+
+
+def test_pool_error_is_raised_after_the_sent_batches():
+    # once a batch raises, no further batch is sent, and every batch in
+    # flight is taken before the error is raised, so no worker is busy
+    # when the Pool is left
+    from multiprocessing import Pool
+
+    import cospec.census as census
+
+    with Pool(2) as pool:
+        results = census._imap(pool, _fails_on_zero, range(100_000), 10)
+        with pytest.raises(CensusInputError, match="^zero$"):
+            list(results)
+        assert pool._cache == {}  # the Pool's table of unfinished results
+    results = census._imap(None, _fails_on_zero, iter([2, 1, 0, 3]), 10)
+    assert [next(results), next(results)] == [2, 1]
+    with pytest.raises(CensusInputError, match="^zero$"):
+        next(results)
+
+
 def test_worker_pool_on_mixed_input():
     # header, comment, blank and disconnected lines reach the Pool in more
     # than one batch (4 at jobs 2, 6 at jobs 3) and change nothing
@@ -306,20 +331,136 @@ def test_census_buckets_match_pairwise_predicate():
     )
 
 
-def test_sweep_keys_equal_fingerprints_for_every_task():
+# A constant prefix puts every graph of a deferred task's domain into one
+# prefix class, so every graph of a domain with two or more is refined.
+FORCED_PREFIX = b"P"
+
+
+def force_collisions(monkeypatch):
+    import cospec.census as census
+
+    monkeypatch.setattr(census, "snf_prefix", lambda kind, charpolys: FORCED_PREFIX)
+
+
+def test_sweep_keys_equal_fingerprints_for_every_task(monkeypatch):
     # the sweep's cached blocks give the same key as fingerprint() for all
-    # 50 kind x flavor tasks
+    # 50 kind x flavor tasks: exactly under forced collisions, and by bucket
+    # sizes in the default mode, where a graph alone in its prefix class
+    # keeps the prefix as its key
     from cospec.graphs import complement, parse_graph6
     from cospec.invariants import fingerprint
 
     lines = connected_graph6_lines(6)
     tasks = [CensusTask(kind, flavor, D.CONNECTED_COMPLEMENT) for kind in K for flavor in F]
-    results, sizes = sweep(6, tasks, lines, jobs=1)
     domain = [g for g in map(parse_graph6, lines) if complement(g).is_connected()]
+    want = [Counter(fingerprint(g, t.kind, t.flavor) for g in domain) for t in tasks]
+    results, sizes = sweep(6, tasks, lines, jobs=1)
     assert len(tasks) == 50 and sizes[D.CONNECTED_COMPLEMENT] == len(domain) == 68
-    for res in results:
-        kind, flavor = res.task.kind, res.task.flavor
-        assert res.buckets == Counter(fingerprint(g, kind, flavor) for g in domain)
+    for res, buckets in zip(results, want):
+        assert res.domain_size == 68
+        assert res.with_mate == sum(c for c in buckets.values() if c >= 2)
+        assert len(res.buckets) == len(buckets)
+    force_collisions(monkeypatch)
+    results, sizes = sweep(6, tasks, lines, jobs=1)
+    assert sizes[D.CONNECTED_COMPLEMENT] == 68
+    for res, buckets in zip(results, want):
+        assert res.buckets == buckets
+
+
+def all_tasks():
+    """Every valid kind x flavor x domain task."""
+    tasks = []
+    for kind in K:
+        for flavor in F:
+            for domain in D:
+                try:
+                    tasks.append(CensusTask(kind, flavor, domain))
+                except ValueError:
+                    pass
+    return tasks
+
+
+def test_forced_collisions_give_exact_fingerprint_buckets(monkeypatch):
+    # every SNF task of the full task list is deferred; with the prefix
+    # forced to a constant every graph is refined, unless it is alone in
+    # its domain, and the buckets are byte-identical to the fingerprints
+    import cospec.census as census
+    from cospec.graphs import complement, distance_data, parse_graph6
+    from cospec.invariants import fingerprint
+
+    tasks = all_tasks()
+    deferred = census._deferred_tasks(tasks)
+    snf_tasks = {i for i, t in enumerate(tasks) if t.flavor in (F.INVARIANT, F.GEN_INVARIANT)}
+    assert len(tasks) == 136 and deferred == snf_tasks and len(deferred) == 53
+    force_collisions(monkeypatch)
+    for n in range(2, 7):
+        lines = connected_graph6_lines(n)
+        graphs = [parse_graph6(line) for line in lines]
+        domains = {D.CONNECTED: graphs}
+        domains[D.CONNECTED_COMPLEMENT] = [g for g in graphs if complement(g).is_connected()]
+        domains[D.DIAM2_PAIR] = [
+            g for g in domains[D.CONNECTED_COMPLEMENT]
+            if distance_data(g).diameter == 2 == distance_data(complement(g)).diameter
+        ]
+        fps = {}
+        want = []
+        for ti, t in enumerate(tasks):
+            domain = domains[t.domain]
+            if ti in deferred and len(domain) == 1:
+                want.append(Counter({FORCED_PREFIX: 1}))
+                continue
+            for g in domain:
+                if (g, t.kind, t.flavor) not in fps:
+                    fps[g, t.kind, t.flavor] = fingerprint(g, t.kind, t.flavor)
+            want.append(Counter(fps[g, t.kind, t.flavor] for g in domain))
+        for jobs in (1, 2):
+            results, sizes = sweep(n, tasks, lines, jobs=jobs)
+            assert sizes == {d: len(domains[d]) for d in D}
+            for res, buckets in zip(results, want):
+                assert res.buckets == buckets, (n, jobs, res.task)
+
+
+def test_gen_invariant_alone_stays_eager(monkeypatch):
+    # a sweep without a charpoly task computes no charpoly and keys every
+    # graph by its full SNF fingerprint, as fingerprint() does
+    import cospec.census as census
+    from cospec.graphs import complement, parse_graph6
+    from cospec.invariants import fingerprint
+
+    calls = Counter()
+    charpoly = census.charpoly_coeffs
+    monkeypatch.setattr(census, "charpoly_coeffs",
+                        lambda m: calls.update(["charpoly_coeffs"]) or charpoly(m))
+    lines = connected_graph6_lines(6)
+    domain = [g for g in map(parse_graph6, lines) if complement(g).is_connected()]
+    for kind in K:
+        task = CensusTask(kind, F.GEN_INVARIANT, D.CONNECTED_COMPLEMENT)
+        assert census._deferred_tasks([task]) == frozenset()
+        (row,), _ = sweep(6, [task], lines, jobs=1)
+        assert row.buckets == Counter(fingerprint(g, kind, F.GEN_INVARIANT) for g in domain)
+    assert calls == Counter()
+
+
+def test_every_census_is_the_same_at_one_and_two_jobs(monkeypatch):
+    # one sweep of every kind x flavor x domain task at n <= 7 gives the
+    # same rows at jobs 1 and 2, with its SNF tasks deferred and with every
+    # task eager, and both modes give the same domain sizes, with_mate and
+    # distinct-key counts
+    import cospec.census as census
+
+    tasks = all_tasks()
+    for n in range(2, 8):
+        lines = connected_graph6_lines(n)
+        rows, sizes = sweep(n, tasks, lines, jobs=1)
+        assert sweep(n, tasks, lines, jobs=2) == (rows, sizes)
+        with monkeypatch.context() as patch:
+            patch.setattr(census, "_deferred_tasks", lambda tasks: frozenset())
+            eager, eager_sizes = sweep(n, tasks, lines, jobs=1)
+            assert sweep(n, tasks, lines, jobs=2) == (eager, eager_sizes)
+        assert sizes == eager_sizes
+        for row, want in zip(rows, eager):
+            assert (row.domain_size, row.with_mate, len(row.buckets)) == (
+                want.domain_size, want.with_mate, len(want.buckets)), (n, row.task)
 
 
 def test_shared_blocks_computed_once_per_graph(monkeypatch):
@@ -336,20 +477,45 @@ def test_shared_blocks_computed_once_per_graph(monkeypatch):
 
         return wrapper
 
-    for name in ("build_matrix", "charpoly_coeffs", "snf_diagonal", "cof_coeffs"):
+    for name in ("parse_graph6", "build_matrix", "charpoly_coeffs", "snf_diagonal", "cof_coeffs"):
         monkeypatch.setattr(census, name, counted(name, getattr(census, name)))
-    tasks = [CensusTask(K.ADJACENCY, flavor, D.CONNECTED) for flavor in F]
-    _, sizes = sweep(5, tasks, connected_graph6_lines(5), jobs=1)
-    graphs = sizes[D.CONNECTED]
-    assert graphs == 21
-    # sides 0 and 1 of kind a, once each per graph; the cof block is
-    # charpoly(A - J) minus the charpoly block of A, so cof_coeffs (which
-    # would compute charpoly(A) again) is never called
-    assert calls == Counter(
-        build_matrix=2 * graphs,
-        charpoly_coeffs=3 * graphs,
-        snf_diagonal=2 * graphs,
-    )
+    lines = connected_graph6_lines(5)
+
+    def block_calls(kind, domain):
+        calls.clear()
+        _, sizes = sweep(5, [CensusTask(kind, flavor, domain) for flavor in F], lines, jobs=1)
+        return sizes[domain], dict(calls)
+
+    # the first pass parses every line and builds sides 0 and 1 once each
+    # per graph of the domain; the cof block is charpoly(M - J) minus the
+    # charpoly block of M, so cof_coeffs (which would compute charpoly(M)
+    # again) is never called. The two SNF tasks are deferred: the second
+    # pass parses each refined line once more, then builds and reduces
+    # once each side that the tasks it is refined for need. At n = 5 every graph has
+    # an adjacency invariant prefix in common with another, and 12 of them
+    # also a gen-invariant one; no dl prefix is shared. Forced collisions
+    # refine every graph for both tasks.
+    for forced in (False, True):
+        if forced:
+            force_collisions(monkeypatch)
+        graphs, got = block_calls(K.ADJACENCY, D.CONNECTED)
+        snf = 2 * graphs if forced else graphs + 12
+        assert graphs == 21
+        assert got == dict(
+            parse_graph6=2 * graphs,
+            build_matrix=2 * graphs + snf,
+            charpoly_coeffs=3 * graphs,
+            snf_diagonal=snf,
+        )
+        graphs, got = block_calls(K.DISTANCE_LAPLACIAN, D.CONNECTED_COMPLEMENT)
+        refined = graphs if forced else 0
+        assert graphs == 8
+        assert got == dict(
+            parse_graph6=21 + refined,
+            build_matrix=2 * graphs + 2 * refined,
+            charpoly_coeffs=3 * graphs,
+            **({"snf_diagonal": 2 * refined} if refined else {}),
+        )
 
 
 def test_bucket_count_mismatch_raises_consistency_error(monkeypatch):

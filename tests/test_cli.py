@@ -80,6 +80,16 @@ def test_relate_and_codet(capsys):
     assert code == 0 and out == "true\n"
 
 
+def test_pair_commands_name_the_bad_literal(capsys):
+    # relate and codet say which of their two literals does not parse
+    first = "cospec: first graph: header byte 33 outside [63, 126] (byte offset 0)\n"
+    second = "cospec: second graph: trailing garbage after graph6 data (byte offset 2)\n"
+    for command in (("relate", "--kind", "a", "--flavor", "spectral"), ("codet", "--kind", "a")):
+        assert run_cli(capsys, *command, "!!", "A_") == (1, "", first)
+        assert run_cli(capsys, *command, "A_", "A_x") == (1, "", second)
+        assert run_cli(capsys, *command, "!!", "A_x") == (1, "", first)
+
+
 def test_closed_form_commands(capsys):
     code, out, _ = run_cli(capsys, "closed-form", "star", "--leaves", "3")
     assert code == 0 and out == "1 1 5 60\n"

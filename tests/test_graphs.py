@@ -171,6 +171,29 @@ def test_graph_validation():
         assert str(exc.value) == f"edge {bad} has a vertex outside [0, 2]"
 
 
+def test_parse_and_complement_build_valid_graphs():
+    # parse_graph6 and complement skip Graph's checks; each graph they build
+    # passes them all. A graph or its complement is connected, so the
+    # connected classes and their complements cover every graph with n <= 7
+    # up to isomorphism; random labelled graphs reach the long form.
+    built = []
+    for n in range(1, 8):
+        for line in connected_graph6_lines(n):
+            g = parse_graph6(line)
+            cg = complement(g)
+            built += [g, cg, parse_graph6(write_graph6(cg))]
+    assert len(built) == 3 * 996
+    rng = random.Random(5)
+    for n in (8, 20, 62, 63, 64):
+        pairs = [(u, v) for v in range(n) for u in range(v) if rng.getrandbits(1)]
+        g = parse_graph6(write_graph6(from_edges(n, pairs)))
+        built += [g, complement(g)]
+    for h in built:
+        assert type(h.rows) is tuple
+        checked = Graph(h.n, h.rows)
+        assert checked == h and hash(checked) == hash(h)
+
+
 # ---------------------------------------------------------------------------
 # complement
 
