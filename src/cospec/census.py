@@ -1,13 +1,14 @@
 """Census engine over graph6 sources.
 
-Each data line is one unit of work, sent to the workers in batches; the
-main process adds each line's domain flags and keys to the totals once,
-taking the line results in input order. Graphs are bucketed by exact
-fingerprint byte keys; a graph "has a mate" when its bucket holds at least
-two graphs, so with_mate is the sum of the sizes of all buckets of size
->= 2. Merging count maps is commutative, so rows do not depend on input
-order or worker count; neither does a diagnostic, which names the first
-bad line of the input at any worker count.
+Each data line is one unit of work, sent to the workers in batches, at
+most two per worker in flight, so that a bad line stops the sweep soon
+after it is read; the main process adds each line's domain flags and keys
+to the totals once, taking the line results in input order. Graphs are
+bucketed by exact fingerprint byte keys; a graph "has a mate" when its
+bucket holds at least two graphs, so with_mate is the sum of the sizes of
+all buckets of size >= 2. Merging count maps is commutative, so rows do
+not depend on input order or worker count; neither does a diagnostic,
+which names the first bad line of the input at any worker count.
 
 A sweep makes two passes over the input through one worker Pool. An SNF
 task is deferred when, for each of its SNF sides, a task of the same kind
@@ -18,20 +19,21 @@ Equal SNF keys have equal prefixes, so a graph alone in its prefix class is
 alone in its SNF bucket, and keeps the prefix as its key. When a second
 graph brings a prefix, both lines are marked; the second pass parses each
 marked line once more, computes the SNF blocks its marked tasks need, and
-the full keys replace the shared prefix buckets. Buckets hold counts only,
-never whole graphs; the line numbers of the first pass are dropped when
-the sweep returns.
+the full keys replace the shared prefix buckets; there a distance kind's
+matrix computes the distance data. Buckets hold counts only, never whole
+graphs; the line numbers of the first pass are dropped when the sweep
+returns.
 """
 
 from __future__ import annotations
 
 import os
-from collections import Counter
+from collections import Counter, deque
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from itertools import islice, takewhile
+from itertools import islice
 from multiprocessing import Pool
 
 from .errors import CensusInputError, ConsistencyError, CospecError, _prefixed, at_line
@@ -186,16 +188,11 @@ def snf_prefix(kind, charpolys):
 
 
 def _line_sides(n, line):
-    """((graph, DistanceData), (complement, DistanceData)) of one data
-    line, or None for a graph outside every domain."""
+    """(graph, complement) of one data line of n vertices."""
     g = parse_graph6(line)
     if g.n != n:
         raise CensusInputError(f"expected {n} vertices, got {g.n}")
-    dd = distance_data(g)
-    if not dd.connected:
-        return None
-    cg = complement(g)
-    return (g, dd), (cg, distance_data(cg))
+    return g, complement(g)
 
 
 def _blocks(sides):
@@ -217,16 +214,17 @@ def _graph_task_keys(n, tasks, deferred, numbered):
     names it."""
     lineno, line = numbered
     try:
-        sides = _line_sides(n, line)
-        if sides is None:
+        g, cg = _line_sides(n, line)
+        dd = distance_data(g)
+        if not dd.connected:
             return None  # outside every census domain
-        (_, dd), (_, cdd) = sides
+        cdd = distance_data(cg)
         member = {
             Domain.CONNECTED: True,
             Domain.CONNECTED_COMPLEMENT: cdd.connected,
             Domain.DIAM2_PAIR: cdd.connected and dd.diameter == 2 and cdd.diameter == 2,
         }
-        blocks = _blocks(sides)
+        blocks = _blocks((g, cg))
         out = []
         for ti, task in enumerate(tasks):
             if member[task.domain]:
@@ -271,36 +269,38 @@ def _map_batch(fn, batch):
     return [fn(item) for item in batch]
 
 
-def _imap(pool, fn, items, size):
-    """fn over items in order: map for pool None, else batches of size
-    items through the pool. Once a batch raises, the pool is fed no further
-    batches, and the batches already sent are taken before the error is
-    raised again: leaving the Pool while its workers are busy can kill one
+def _imap(pool, fn, items, size, window):
+    """(item, fn(item)) over items in order: serially for pool None, else in
+    batches of size items through the pool, at most window batches in
+    flight. Once a batch raises, no further batch is sent, and the batches
+    in flight are waited for before the error is raised again (as on any
+    other exit): leaving the Pool while its workers are busy can kill one
     that holds the lock of the result pipe, and Pool.terminate then waits
     forever for its task thread."""
     if pool is None:
-        yield from map(fn, items)
+        for item in items:
+            yield item, fn(item)
         return
-    stop = []
-    items = takewhile(lambda _: not stop, items)
-    batches = iter(lambda: list(islice(items, size)), [])
-    results = pool.imap(partial(_map_batch, fn), batches)
-    while True:
-        try:
-            batch = next(results)
-        except StopIteration:
-            return
-        except Exception:
-            stop.append(True)
-            while True:  # errors after the first are dropped
-                try:
-                    next(results)
-                except StopIteration:
-                    break
-                except Exception:
-                    pass
-            raise
-        yield from batch
+    items = iter(items)
+    func = partial(_map_batch, fn)
+    sent = deque()
+
+    def send():
+        batch = list(islice(items, size))
+        if batch:
+            sent.append((batch, pool.apply_async(func, (batch,))))
+
+    try:
+        for _ in range(window):
+            send()
+        while sent:
+            batch, result = sent.popleft()
+            results = result.get()
+            send()
+            yield from zip(batch, results)
+    finally:
+        for _, result in sent:
+            result.wait()  # errors after the first are dropped
 
 
 def sweep(n, tasks, lines, jobs=None):
@@ -314,6 +314,7 @@ def sweep(n, tasks, lines, jobs=None):
     chunk_size = _chunk_size(len(lines), jobs)
     # never more workers than batches
     workers = min(jobs, (len(lines) + chunk_size - 1) // chunk_size)
+    window = 2 * workers  # batches in flight: enough to keep every worker busy
     deferred = _deferred_tasks(tasks)
     buckets = [Counter() for _ in tasks]
     sizes = {d: 0 for d in Domain}
@@ -323,8 +324,8 @@ def sweep(n, tasks, lines, jobs=None):
     marked = {}  # line number -> deferred task indices to refine
     with Pool(workers) if workers > 1 else nullcontext() as pool:
         first = _imap(pool, partial(_graph_task_keys, n, tasks, deferred), _data_lines(lines),
-                      chunk_size)
-        for (lineno, _), res in zip(_data_lines(lines), first):
+                      chunk_size, window)
+        for (lineno, _), res in first:
             if res is None:
                 continue
             member, keys = res
@@ -348,8 +349,8 @@ def sweep(n, tasks, lines, jobs=None):
                 marked.setdefault(lineno, []).append(ti)
         todo = ((lineno, line, marked[lineno]) for lineno, line in _data_lines(lines)
                 if lineno in marked)
-        for keys in _imap(pool, partial(_refined_keys, n, tasks), todo,
-                          _chunk_size(len(marked), jobs)):
+        for _, keys in _imap(pool, partial(_refined_keys, n, tasks), todo,
+                             _chunk_size(len(marked), jobs), window):
             for ti, key in keys:
                 buckets[ti][key] += 1
     rows = [CensusRow(t, n, sizes[t.domain], b) for t, b in zip(tasks, buckets)]

@@ -29,7 +29,8 @@ UNREACHABLE = -1
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph; rows[v] is the neighbor bitmask of v."""
+    """Simple undirected graph; rows[v] is the neighbor bitmask of v;
+    distance_data(g) is memoized in __dict__, outside the compared fields."""
 
     n: int
     rows: tuple
@@ -334,6 +335,14 @@ class DistanceData:
 
 
 def distance_data(g):
+    """g's DistanceData, from one BFS per Graph instance, kept on it."""
+    data = g.__dict__.get("_distance_data")
+    if data is None:
+        data = g.__dict__["_distance_data"] = _bfs(g)
+    return data
+
+
+def _bfs(g):
     n, rows = g.n, g.rows
     full = (1 << n) - 1
     dist = []

@@ -70,7 +70,7 @@ _OPS = {
 class _Blocks:
     """Lazy per-graph memo, the one map from a graph's sides to fingerprint
     blocks. Side 0 is the graph and side 1 its complement, each given as
-    (graph, DistanceData). Each matrix is built once per (kind, side) and
+    a plain Graph. Each matrix is built once per (kind, side) and
     each block computed once per (op, kind, side), so blocks shared by
     several (kind, flavor) keys are computed once. The caller passes the
     matrix, charpoly and SNF functions, and so chooses the names they are
@@ -92,8 +92,7 @@ class _Blocks:
         if ints is None:
             m = self.mats.get((kind, side))
             if m is None:
-                g, data = self.sides[side]
-                m = self.mats[kind, side] = self.build(g, kind, data=data)
+                m = self.mats[kind, side] = self.build(self.sides[side], kind)
             if op == "snf":
                 ints = self.snf(m)
             elif op == "charpoly":
@@ -119,15 +118,14 @@ def compose_key(kind, flavor, blocks):
 
 def fingerprint_blocks(g, kind, flavor):
     """The component int lists of g's fingerprint, in flavor.components order."""
-    sides = [(g, distance_data(g))]
+    sides = [g]
     if flavor.uses_complement:
         cg = complement(g)
-        cdata = distance_data(cg)
-        if kind.requires_connected and not cdata.connected:
+        if kind.requires_connected and not distance_data(cg).connected:
             raise ConnectivityError(
                 f"generalized {kind.value!r} fingerprints need a connected complement"
             )
-        sides.append((cg, cdata))
+        sides.append(cg)
     blocks = _Blocks(sides, build_matrix, charpoly_coeffs, snf_diagonal)
     return [blocks.block(op, kind, side) for op, side in flavor.components]
 

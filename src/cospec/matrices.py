@@ -82,17 +82,12 @@ class ShiftParams(NamedTuple):
     y: int
 
 
-def build_matrix(g, kind, data=None):
-    """Exact integer matrix of the requested kind for g.
-
-    data may carry a precomputed DistanceData for g to avoid repeating the
-    BFS; it is required to be g's own.
-    """
+def build_matrix(g, kind):
+    """Exact integer matrix of the requested kind for g."""
     diagonal, sign, base = _FORMULAS[kind]
     n = g.n
     if kind.requires_connected:
-        if data is None:
-            data = distance_data(g)
+        data = distance_data(g)
         if not data.connected:
             raise ConnectivityError(
                 f"matrix kind {kind.value!r} needs a connected graph"

@@ -1,5 +1,6 @@
 import io
 import random
+import types
 from collections import Counter
 from fractions import Fraction
 
@@ -117,8 +118,9 @@ def test_pool_never_has_more_workers_than_batches(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def imap(self, func, iterable, chunksize=1):
-            return map(func, iterable)
+        def apply_async(self, func, args):
+            value = func(*args)
+            return types.SimpleNamespace(get=lambda: value, wait=lambda: None)
 
     monkeypatch.setattr(census, "Pool", SerialPool)
     spec = CensusSpec(5, D.CONNECTED, (K.ADJACENCY, K.SIGNLESS_LAPLACIAN), F.GEN_INVARIANT)
@@ -144,14 +146,29 @@ def test_pool_error_is_raised_after_the_sent_batches():
     import cospec.census as census
 
     with Pool(2) as pool:
-        results = census._imap(pool, _fails_on_zero, range(100_000), 10)
+        results = census._imap(pool, _fails_on_zero, range(100_000), 10, 4)
         with pytest.raises(CensusInputError, match="^zero$"):
             list(results)
         assert pool._cache == {}  # the Pool's table of unfinished results
-    results = census._imap(None, _fails_on_zero, iter([2, 1, 0, 3]), 10)
-    assert [next(results), next(results)] == [2, 1]
+    results = census._imap(None, _fails_on_zero, iter([2, 1, 0, 3]), 10, 4)
+    assert [next(results), next(results)] == [(2, 2), (1, 1)]
     with pytest.raises(CensusInputError, match="^zero$"):
         next(results)
+
+
+def test_pool_error_stops_reading_the_input():
+    # at most window batches are in flight, so an error in the first batch
+    # is raised once at most (window + 1) batches of the input have been read
+    from multiprocessing import Pool
+
+    import cospec.census as census
+
+    read = []
+    items = (read.append(x) or x for x in [1, 0] + [1] * 100_000)
+    with Pool(2) as pool:
+        with pytest.raises(CensusInputError, match="^zero$"):
+            list(census._imap(pool, _fails_on_zero, items, 10, 4))
+    assert len(read) <= (4 + 1) * 10
 
 
 def test_worker_pool_on_mixed_input():
@@ -172,6 +189,30 @@ def test_worker_pool_on_mixed_input():
         assert by_task[CensusTask(cell.kind, cell.flavor, cell.domain)] == cell.value
     for jobs in (2, 3):
         assert sweep(6, tasks, lines, jobs=jobs) == (rows, sizes)
+
+
+def test_sweep_runs_one_bfs_per_side(monkeypatch):
+    # the first pass computes the distance data of each side once (of the
+    # graph alone for a disconnected line); the second pass refines a and q
+    # keys, which need none
+    import cospec.census as census
+    from cospec import graphs
+    from cospec.graphs import cycle, disjoint_union, empty, write_graph6
+
+    bfs = graphs._bfs
+    runs = []
+    monkeypatch.setattr(graphs, "_bfs", lambda g: runs.append(g) or bfs(g))
+    refine = census._refined_keys
+    reread = []
+    monkeypatch.setattr(census, "_refined_keys", lambda *args: reread.append(args) or refine(*args))
+    lines = list(connected_graph6_lines(6))
+    lines += [write_graph6(empty(6)), write_graph6(disjoint_union(cycle(3), cycle(3)))]
+    tasks = [CensusTask(kind, flavor, D.CONNECTED)
+             for kind in (K.ADJACENCY, K.SIGNLESS_LAPLACIAN)
+             for flavor in (F.GEN_SPECTRAL, F.GEN_INVARIANT)]
+    rows, sizes = sweep(6, tasks, lines, jobs=1)
+    assert sizes[D.CONNECTED] == 112 and reread
+    assert len(runs) == 2 * 112 + 2
 
 
 def test_generalized_refines_plain():

@@ -449,15 +449,32 @@ def test_per_graph_input_errors_name_their_line(tmp_path, capsys):
 
 
 def test_disconnected_graph_has_one_message(capsys):
-    # fingerprint and relate report a disconnected graph as matrix does
+    # fingerprint and relate report a disconnected graph as matrix does;
+    # relate also names the graph
     want = (1, "", "cospec: matrix kind 'd' needs a connected graph\n")
     for argv in (
         ("matrix", "--kind", "d", "A?"),
         ("fingerprint", "--kind", "d", "--flavor", "spectral", "A?"),
         ("fingerprint", "--kind", "d", "--flavor", "gen-invariant", "--describe", "A?"),
-        ("relate", "--kind", "d", "--flavor", "invariant", "A?", "A_"),
     ):
         assert run_cli(capsys, *argv) == want
+    want = (1, "", "cospec: first graph: matrix kind 'd' needs a connected graph\n")
+    assert run_cli(capsys, "relate", "--kind", "d", "--flavor", "invariant", "A?", "A_") == want
+
+
+def test_pair_commands_name_the_failing_graph(capsys):
+    # a graph that parses but has no value is named by its position; the
+    # vertex counts are compared first
+    message = "matrix kind 'd' needs a connected graph\n"
+    for command in (("relate", "--kind", "d", "--flavor", "spectral"), ("codet", "--kind", "d")):
+        assert run_cli(capsys, *command, "A?", "A_") == (1, "", f"cospec: first graph: {message}")
+        assert run_cli(capsys, *command, "A_", "A?") == (1, "", f"cospec: second graph: {message}")
+        assert run_cli(capsys, *command, "A?", "Bw") == (1, "", "cospec: vertex counts differ (2 vs 3)\n")
+        assert run_cli(capsys, *command, "Bw", "Bw") == (0, "true\n", "")
+    # the star K_1,3 (CF) has a disconnected complement, P_4 (Ch) does not
+    relate = ("relate", "--kind", "d", "--flavor", "gen-invariant")
+    want = "cospec: second graph: generalized 'd' fingerprints need a connected complement\n"
+    assert run_cli(capsys, *relate, "Ch", "CF") == (1, "", want)
 
 
 def test_diff_paper_names_the_source_of_a_bad_line(tmp_path, monkeypatch, capsys):

@@ -235,6 +235,27 @@ def test_distance_disconnected():
     assert dd.dist[0][1] == -1
 
 
+def test_distance_data_is_computed_once_per_graph(monkeypatch):
+    runs = []
+    bfs = graphs._bfs
+    monkeypatch.setattr(graphs, "_bfs", lambda g: runs.append(g) or bfs(g))
+    g = path(4)
+    assert distance_data(g) is distance_data(g)
+    assert runs == [g]
+    # equal graphs built differently stay equal and hash equal, whether or
+    # not their distance data has been computed, and they pickle
+    h = parse_graph6(write_graph6(g))
+    k = complement(complement(g))
+    for _ in range(2):
+        assert g == h == k and hash(g) == hash(h) == hash(k) and repr(g) == repr(h)
+        for x in (g, h, k):
+            back = pickle.loads(pickle.dumps(x))
+            assert back == x and hash(back) == hash(x)
+            assert distance_data(back) == distance_data(g)
+        distance_data(h)
+        distance_data(k)
+
+
 def test_distance_one_iff_adjacent():
     for g in generate_connected(6):
         dd = distance_data(g)

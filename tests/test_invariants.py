@@ -330,7 +330,7 @@ def _check_dl_vs_l(n):
         data = distance_data(g)
         if data.diameter > 2:
             continue
-        p_dl = charpoly_coeffs(build_matrix(g, K.DISTANCE_LAPLACIAN, data=data))
+        p_dl = charpoly_coeffs(build_matrix(g, K.DISTANCE_LAPLACIAN))
         p_l = charpoly_coeffs(build_matrix(g, K.LAPLACIAN))
         lhs = pmul((2 * n, -1), p_dl)
         rhs = pscale(pmul((0, 1), _compose_at_2n_minus_x(p_l, n)), (-1) ** (n - 1))

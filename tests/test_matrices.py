@@ -51,6 +51,11 @@ def test_distance_kinds_need_connectivity():
     for kind in DISTANCE_KINDS:
         with pytest.raises(ConnectivityError):
             build_matrix(g, kind)
+    # also once g's distance data is memoized
+    assert not distance_data(g).connected
+    for kind in DISTANCE_KINDS:
+        with pytest.raises(ConnectivityError):
+            build_matrix(g, kind)
     # adjacency kinds are fine on disconnected graphs
     for kind in (K.ADJACENCY, K.LAPLACIAN, K.SIGNLESS_LAPLACIAN):
         build_matrix(g, kind)
