@@ -12,9 +12,9 @@ which names the first bad line of the input at any worker count.
 
 A sweep makes two passes over the input through one worker Pool. An SNF
 task is deferred when, for each of its SNF sides, a task of the same kind
-computes that side's charpoly block on a domain containing its own. In the
-first pass a deferred task keys each graph by snf_prefix, read off those
-charpoly blocks, and the merge keeps one pending line number per prefix.
+computes that side's charpoly block, on any domain. In the first pass a
+deferred task keys each graph by snf_prefix, read off those charpoly
+blocks, and the merge keeps one pending line number per prefix.
 Equal SNF keys have equal prefixes, so a graph alone in its prefix class is
 alone in its SNF bucket, and keeps the prefix as its key. When a second
 graph brings a prefix, both lines are marked; the second pass parses each
@@ -146,19 +146,14 @@ class CensusRow:
 def _deferred_tasks(tasks):
     """Indices of the SNF tasks whose first-pass key is snf_prefix: those
     where, for each SNF side, a task of the same kind computes that side's
-    charpoly block on a domain containing theirs, so the block is already
-    at hand for every graph of the task's domain."""
-    depth = list(Domain).index  # connected > with connected complement > diam2-pair
-    charpoly = {}  # (kind, side) -> depth of the largest domain computing it
-    for t in tasks:
-        for op, side in t.flavor.components:
-            if op == "charpoly":
-                key = (t.kind, side)
-                charpoly[key] = min(charpoly.get(key, len(Domain)), depth(t.domain))
+    charpoly block. Only the task list is read; a deferred task computes
+    those blocks itself for the graphs of its domain outside theirs."""
+    charpoly = {(t.kind, side) for t in tasks for op, side in t.flavor.components
+                if op == "charpoly"}
     out = set()
     for ti, t in enumerate(tasks):
-        sides = [side for op, side in t.flavor.components if op == "snf"]
-        if sides and all(charpoly.get((t.kind, s), len(Domain)) <= depth(t.domain) for s in sides):
+        snf = {(t.kind, side) for op, side in t.flavor.components if op == "snf"}
+        if snf and snf <= charpoly:
             out.add(ti)
     return frozenset(out)
 

@@ -10,9 +10,10 @@ charpoly, cof, snf, fingerprint, closed-form tree) store a renderer
 text(args, g); _cmd_each_graph prints it for a graph6 literal, or for each
 graph of --input FILE or --input - (stdin), after parsing every line of
 the input. The pair commands (relate, codet) take two graph6 literals and
-store a value(args, g), the fingerprint or the Q[x] gcd chain; _cmd_pair
-computes it for each graph, naming the first or second graph in an error,
-and prints whether the two are equal as true or false.
+store a relation(args, g, h), a call of invariants.related or
+invariants.is_codeterminantal_Qx; _cmd_pair parses the two literals,
+naming the first or second graph in an error as the relation does, and
+prints the relation's value as true or false.
 
 Exit codes: 0 success, 1 domain/input errors and unreadable files
 (one-line diagnostic on stderr), among them a --jobs below 1 and a census
@@ -35,16 +36,11 @@ import sys
 
 from .census import CensusSpec, Domain, diff_paper, run_census
 from .closed_forms import TreeData, multipartite_snf, star_snf, tree_snf
-from .errors import CospecError, _prefixed, at_line
+from .errors import CospecError, at_line, pair_map
 from .graphs import _read_lines, iter_graph6_lines, parse_graph6
-from .intlinalg import (
-    charpoly,
-    cof_polynomial,
-    determinantal_gcds_Qx,
-    format_factors,
-    smith_normal_form,
-)
-from .invariants import Flavor, describe_fingerprint, fingerprint
+from .intlinalg import charpoly, cof_polynomial, format_factors, smith_normal_form
+from .invariants import (Flavor, describe_fingerprint, fingerprint, is_codeterminantal_Qx,
+                          related)
 from .matrices import MatrixKind, build_matrix
 
 
@@ -135,27 +131,12 @@ def _fingerprint_text(args, g):
 
 
 def _cmd_pair(args):
-    """Print whether args.value(args, g) is equal for the two literals.
+    """Print whether the two graph6 literals stand in args.relation(args, g, h).
 
-    A literal that does not parse, or whose value raises, is named as the
-    first or second graph; vertex counts that differ are checked first."""
-    positions = ("first graph: ", "second graph: ")
-    graphs = []
-    for position, literal in zip(positions, (args.graph_a, args.graph_b)):
-        try:
-            graphs.append(parse_graph6(literal))
-        except CospecError as exc:
-            raise _prefixed(exc, position) from exc
-    g, h = graphs
-    if g.n != h.n:
-        raise ValueError(f"vertex counts differ ({g.n} vs {h.n})")
-    values = []
-    for position, graph in zip(positions, graphs):
-        try:
-            values.append(args.value(args, graph))
-        except CospecError as exc:
-            raise _prefixed(exc, position) from exc
-    print(format_bool(values[0] == values[1]))
+    A literal that does not parse is named as the first or second graph,
+    as the relation names a graph whose value raises."""
+    g, h = pair_map(parse_graph6, args.graph_a, args.graph_b)
+    print(format_bool(args.relation(args, g, h)))
     return 0
 
 
@@ -222,10 +203,10 @@ def build_parser():
         p.add_argument("--input", help="graph6 file, or - for stdin")
         p.set_defaults(func=_cmd_each_graph, text=text, usage_error=p.error)
 
-    def add_pair(p, value):
+    def add_pair(p, relation):
         p.add_argument("graph_a")
         p.add_argument("graph_b")
-        p.set_defaults(func=_cmd_pair, value=value)
+        p.set_defaults(func=_cmd_pair, relation=relation)
 
     add_graph_input(add_kind("matrix", "print a graph matrix"),
                     lambda a, g: format_matrix(build_matrix(g, a.kind)))
@@ -243,9 +224,9 @@ def build_parser():
     p.add_argument("--describe", action="store_true", help="human-readable form")
     add_graph_input(p, _fingerprint_text)
     add_pair(add_kind("relate", "test a pairwise relation", with_flavor=True),
-             lambda a, g: fingerprint(g, a.kind, a.flavor))
+             lambda a, g, h: related(g, h, a.kind, a.flavor))
     add_pair(add_kind("codet", "Q[x] codeterminantality of xI - M"),
-             lambda a, g: determinantal_gcds_Qx(build_matrix(g, a.kind)))
+             lambda a, g, h: is_codeterminantal_Qx(g, h, a.kind))
 
     p = sub.add_parser("closed-form", help="closed-form SNF chains")
     shapes = p.add_subparsers(dest="shape", required=True)

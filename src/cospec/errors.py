@@ -46,3 +46,16 @@ def at_line(exc, lineno):
     """exc at line lineno of batch input: a copy of its type and with its
     attributes, whose message starts with 'line N: ' and whose .lineno is N."""
     return _prefixed(exc, f"line {lineno}: ", lineno=lineno)
+
+
+def pair_map(fn, first, second):
+    """(fn(first), fn(second)), computed in that order. A CospecError that fn
+    raises names the graph it was raised for: a copy of its type and
+    attributes whose message starts with the graph's position."""
+    out = []
+    for position, item in zip(("first graph: ", "second graph: "), (first, second)):
+        try:
+            out.append(fn(item))
+        except CospecError as exc:
+            raise _prefixed(exc, position) from exc
+    return tuple(out)

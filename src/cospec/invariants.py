@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ConnectivityError
+from .errors import ConnectivityError, pair_map
 from .graphs import complement, distance_data
 from .intlinalg import charpoly_coeffs, determinantal_gcds_Qx, format_factors, snf_diagonal
 from .matrices import TokenEnum, build_matrix
@@ -146,21 +146,25 @@ def describe_fingerprint(g, kind, flavor):
     return f"kind {kind.value}, flavor {flavor.value}; " + "; ".join(rendered)
 
 
-def related(g, h, kind, flavor):
-    """True exactly when g and h stand in the (kind, flavor) relation."""
+def _equal_values(value, g, h):
+    """Whether value(g) == value(h), the one pair rule: vertex counts that
+    differ are a ValueError before any value is computed, and an error
+    that value raises names its graph (errors.pair_map)."""
     if g.n != h.n:
         raise ValueError(f"vertex counts differ ({g.n} vs {h.n})")
-    return fingerprint(g, kind, flavor) == fingerprint(h, kind, flavor)
+    a, b = pair_map(value, g, h)
+    return a == b
+
+
+def related(g, h, kind, flavor):
+    """True exactly when g and h stand in the (kind, flavor) relation."""
+    return _equal_values(lambda x: fingerprint(x, kind, flavor), g, h)
 
 
 def is_codeterminantal_Qx(g, h, kind):
     """True when the Q[x] determinantal gcd chains of xI - M agree at
     every order for M of the given kind."""
-    if g.n != h.n:
-        raise ValueError(f"vertex counts differ ({g.n} vs {h.n})")
-    mg = build_matrix(g, kind)
-    mh = build_matrix(h, kind)
-    return determinantal_gcds_Qx(mg) == determinantal_gcds_Qx(mh)
+    return _equal_values(lambda x: determinantal_gcds_Qx(build_matrix(x, kind)), g, h)
 
 
 @dataclass(frozen=True)

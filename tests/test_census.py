@@ -461,6 +461,22 @@ def test_forced_collisions_give_exact_fingerprint_buckets(monkeypatch):
                 assert res.buckets == buckets, (n, jobs, res.task)
 
 
+def test_paper_task_lists_defer_their_gen_invariant_tasks():
+    # the task list diff-paper sweeps for each n: a gen-invariant task is
+    # deferred exactly when its kind has a gen-spectral task there
+    import cospec.census as census
+
+    want = {4: (10, 20), 5: (10, 20), 11: (3, 13)}
+    for n in range(4, 12):
+        tasks = list(dict.fromkeys(CensusTask(c.kind, c.flavor, c.domain)
+                                   for c in expected_tables() if c.n == n and c.kind))
+        deferred = census._deferred_tasks(tasks)
+        assert (len(deferred), len(tasks)) == want.get(n, (20, 33)), n
+        spectral = {t.kind for t in tasks if t.flavor is F.GEN_SPECTRAL}
+        assert deferred == {i for i, t in enumerate(tasks)
+                            if t.flavor is F.GEN_INVARIANT and t.kind in spectral}, n
+
+
 def test_gen_invariant_alone_stays_eager(monkeypatch):
     # a sweep without a charpoly task computes no charpoly and keys every
     # graph by its full SNF fingerprint, as fingerprint() does

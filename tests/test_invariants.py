@@ -9,6 +9,7 @@ from cospec.graphs import (
     cycle,
     disjoint_union,
     distance_data,
+    empty,
     from_edges,
     generate_connected,
     path,
@@ -62,6 +63,28 @@ def test_related_examples():
 def test_related_size_mismatch():
     with pytest.raises(ValueError):
         related(path(3), path(4), K.ADJACENCY, F.SPECTRAL)
+
+
+def test_relations_name_the_failing_graph():
+    # a graph whose value raises is named by its position, with the error's
+    # type kept; vertex counts that differ are refused before any value
+    message = "graph: matrix kind 'd' needs a connected graph"
+    relations = (
+        lambda g, h: related(g, h, K.DISTANCE, F.SPECTRAL),
+        lambda g, h: is_codeterminantal_Qx(g, h, K.DISTANCE),
+    )
+    for relation in relations:
+        with pytest.raises(ConnectivityError) as exc:
+            relation(path(3), empty(3))
+        assert str(exc.value) == f"second {message}"
+        with pytest.raises(ConnectivityError) as exc:
+            relation(empty(3), path(3))
+        assert str(exc.value) == f"first {message}"
+        for pair in ((empty(3), path(4)), (path(3), empty(4))):
+            with pytest.raises(ValueError) as exc:
+                relation(*pair)
+            assert type(exc.value) is ValueError
+            assert str(exc.value) == f"vertex counts differ ({pair[0].n} vs {pair[1].n})"
 
 
 def test_connectivity_requirements():
