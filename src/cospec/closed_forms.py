@@ -10,13 +10,13 @@ always cross-checked.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, reduce
 from itertools import combinations
 from math import gcd, prod
 from operator import or_
 
 from .errors import ConsistencyError, UnsupportedSizeError
-from .graphs import Graph, distance_data
+from .graphs import Graph, check_tree, distance_data
 from .intlinalg import InvariantFactors, determinant, snf_diagonal
 from .matrices import MatrixKind, build_matrix
 
@@ -32,12 +32,21 @@ class TreeData:
 
     @classmethod
     def from_graph(cls, g):
-        if g.edge_count != g.n - 1:
-            raise ValueError("not a tree: edge count differs from n - 1")
-        data = distance_data(g)
-        if not data.connected:
-            raise ValueError("not a tree: graph is disconnected")
-        return cls(g, tuple(t - d for t, d in zip(data.trs, g.degrees())))
+        check_tree(g)
+        trs = distance_data(g).trs
+        return cls(g, tuple(t - d for t, d in zip(trs, g.degrees())))
+
+    @cached_property
+    def _edge_sides(self):
+        """For each tree edge (u, v), the bitset of vertices nearer to v than
+        to u, read from the tree's distance matrix: the side of v once the
+        edge is cut. Kept on this instance, outside eq, hash and repr."""
+        tree = self.tree
+        dist = distance_data(tree).dist
+        return tuple(
+            sum(1 << w for w in range(tree.n) if dist[v][w] < dist[u][w])
+            for u, v in tree.edges()
+        )
 
 
 @dataclass(frozen=True)
@@ -156,18 +165,6 @@ def tree_snf(t):
     return InvariantFactors(tuple(d))
 
 
-@lru_cache(maxsize=None)
-def _edge_sides(tree):
-    """For each tree edge (u, v), the bitset of vertices nearer to v than to
-    u, read from the tree's distance matrix: the side of v once the edge is
-    cut."""
-    dist = distance_data(tree).dist
-    return tuple(
-        sum(1 << w for w in range(tree.n) if dist[v][w] < dist[u][w])
-        for u, v in tree.edges()
-    )
-
-
 def rho(t, U):
     """Number of (|U|-1)-subsets of tree edges meeting every path between
     distinct vertices of U. Brute force over edge subsets.
@@ -185,7 +182,7 @@ def rho(t, U):
     _check_tree_size(t)
     pairs = list(combinations(verts, 2))
     cuts = []
-    for side in _edge_sides(t.tree):
+    for side in t._edge_sides:
         cut = 0
         for i, (u, v) in enumerate(pairs):
             if ((side >> u) ^ (side >> v)) & 1:

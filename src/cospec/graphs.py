@@ -375,30 +375,24 @@ def _bfs(g):
 # canonical keys (exact minimum graph6 form over all relabelings)
 
 
-def _is_twin(rows, u, v):
-    mask = ~((1 << u) | (1 << v))
-    return (rows[u] & mask) == (rows[v] & mask)
-
-
-def _twin_classes(n, rows):
+def _twin_classes(rows):
     """twins[v] is the bitset of vertices twin to v, v included.
 
-    Being twins is an equivalence relation, and swapping two twins is an
-    automorphism, so permuting a class is one too.
+    u and v are twins when N(u) - {v} = N(v) - {u}: false twins share their
+    open neighbourhood rows[v], true twins their closed one rows[v] | 1 << v,
+    so each kind is one dict lookup per vertex. No vertex has twins of both
+    kinds: a false twin u of v and a true twin w of v give w in N(v) = N(u),
+    so u in N[w] = N[v], so u ~ v, which a false twin is not. So twins[v] is
+    the OR of v's two classes, being twins is an equivalence relation, and
+    swapping two twins is an automorphism, so permuting a class is one too.
     """
-    twins = [0] * n
-    for v in range(n):
-        if not twins[v]:
-            cls = 1 << v
-            for w in range(v + 1, n):
-                if _is_twin(rows, v, w):
-                    cls |= 1 << w
-            rest = cls
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                twins[low.bit_length() - 1] = cls
-    return twins
+    false_twins = {}
+    true_twins = {}
+    for v, r in enumerate(rows):
+        bit = 1 << v
+        false_twins[r] = false_twins.get(r, 0) | bit
+        true_twins[r | bit] = true_twins.get(r | bit, 0) | bit
+    return [false_twins[r] | true_twins[r | 1 << v] for v, r in enumerate(rows)]
 
 
 def _canonical_columns(n, rows):
@@ -406,47 +400,42 @@ def _canonical_columns(n, rows):
 
     Greedy level search: the minimal bit stream must route through a
     minimal column at every position, so only tied extensions survive.
-    The vertices giving a partial labeling its least next column are found
-    as a bitset, one neighbourhood test per labeled vertex, most
-    significant bit first. Twin vertices (swappable by a transposition
-    automorphism) are explored once per frontier entry.
+    Each level extends every chosen partial labeling by the vertices of its
+    frontier, those that give it its least next column, once per twin class
+    (twins are swappable by a transposition automorphism). Each extension is
+    scored as it is made: its least next column and the frontier giving it
+    come from one neighbourhood test per labeled vertex, most significant
+    bit first. The extensions with the least column are the next level's
+    chosen labelings.
     """
     full = (1 << n) - 1
-    twins = _twin_classes(n, rows)
-    partials = []
-    s = full
-    while s:
-        v = (s & -s).bit_length() - 1
-        partials.append(((v,), 1 << v))
-        s &= ~twins[v]
+    twins = _twin_classes(rows)
+    chosen = [((), 0, full)]
     cols = []
-    for level in range(1, n):
+    for _ in range(n - 1):
         best = None
-        chosen = []
-        for p, used in partials:
-            s = full ^ used
-            c = 0
-            for u in p:
-                t = s & ~rows[u]
-                if t:
-                    s = t
-                    c <<= 1
-                else:
-                    c = (c << 1) | 1
-            if best is None or c < best:
-                best = c
-                chosen = [(p, used, s)]
-            elif c == best:
-                chosen.append((p, used, s))
+        for p, used, frontier in chosen:
+            while frontier:
+                v = (frontier & -frontier).bit_length() - 1
+                frontier &= ~twins[v]
+                q = p + (v,)
+                qused = used | 1 << v
+                s = full ^ qused
+                c = 0
+                for u in q:
+                    t = s & ~rows[u]
+                    if t:
+                        s = t
+                        c <<= 1
+                    else:
+                        c = (c << 1) | 1
+                if best is None or c < best:
+                    best = c
+                    extended = [(q, qused, s)]
+                elif c == best:
+                    extended.append((q, qused, s))
         cols.append(best)
-        if level == n - 1:
-            break
-        partials = []
-        for p, used, s in chosen:
-            while s:
-                v = (s & -s).bit_length() - 1
-                partials.append((p + (v,), used | (1 << v)))
-                s &= ~twins[v]
+        chosen = extended
     return cols
 
 
@@ -481,7 +470,7 @@ def _sorted_masks(n, rows):
     whose bits inside each class form a prefix of the class in vertex order.
     """
     masks = [0]
-    for v, cls in enumerate(_twin_classes(n, rows)):
+    for v, cls in enumerate(_twin_classes(rows)):
         if cls & -cls == 1 << v:  # v is the first vertex of its class
             prefixes = [0]
             while cls:
@@ -564,16 +553,21 @@ def generate_connected(n):
     return map(parse_graph6, connected_graph6_lines(n))
 
 
+def check_tree(g):
+    """Raise ValueError unless g is a tree: n - 1 edges and connected."""
+    if g.edge_count != g.n - 1:
+        raise ValueError("not a tree: edge count differs from n - 1")
+    if not g.is_connected():
+        raise ValueError("not a tree: graph is disconnected")
+
+
 def _tree_center(n, rows):
+    """The one or two centers of a tree, by peeling its leaves."""
     deg = [r.bit_count() for r in rows]
     alive = list(range(n))
     removed = [False] * n
     while len(alive) > 2:
         leaves = [v for v in alive if deg[v] == 1]
-        if not leaves:
-            # with n - 1 edges, a graph whose peeling stalls on a cycle is
-            # disconnected
-            raise ValueError("not a tree: graph is disconnected")
         for v in leaves:
             removed[v] = True
             r = rows[v]
@@ -602,8 +596,7 @@ def tree_key(g):
     """Canonical string for a tree of any supported size, via center-rooted
     AHU encoding (min over the one or two centers). Raises ValueError for
     a graph that is not a tree."""
-    if g.edge_count != g.n - 1:
-        raise ValueError("not a tree: edge count differs from n - 1")
+    check_tree(g)
     centers = _tree_center(g.n, g.rows)
     return min(_ahu(g.rows, c, -1) for c in centers)
 

@@ -729,3 +729,18 @@ def test_census_names_the_line_of_a_kernel_error(monkeypatch):
     lines = [">>graph6<<", *connected_graph6_lines(5)]
     exc = pytest.raises(ConsistencyError, sweep, spec.n, spec.tasks(), lines, 1).value
     assert (str(exc), exc.lineno) == ("line 4: charpoly digits do not decode", 4)
+
+
+def test_census_names_the_line_of_a_second_pass_error(monkeypatch):
+    # the invariant task is deferred behind the spectral task's charpoly,
+    # so its SNF runs in the second pass only, first for the first data
+    # line, whose prefix a later graph shares
+    def snf_diagonal(m):
+        raise ConsistencyError("snf diagonal does not divide")
+
+    monkeypatch.setattr("cospec.census.snf_diagonal", snf_diagonal)
+    tasks = [CensusTask(K.ADJACENCY, flavor, D.CONNECTED) for flavor in (F.SPECTRAL, F.INVARIANT)]
+    lines = [">>graph6<<", *connected_graph6_lines(5)]
+    for jobs in (1, 2):
+        exc = pytest.raises(ConsistencyError, sweep, 5, tasks, lines, jobs).value
+        assert (str(exc), exc.lineno) == ("line 2: snf diagonal does not divide", 2)

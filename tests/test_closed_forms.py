@@ -1,3 +1,5 @@
+import gc
+import weakref
 from itertools import combinations
 from math import gcd
 
@@ -14,13 +16,16 @@ from cospec.closed_forms import (
 )
 from cospec.errors import UnsupportedSizeError
 from cospec.graphs import (
+    complete,
     complete_multipartite,
     cycle,
+    disjoint_union,
     distance_data,
     from_edges,
     generate_trees,
     path,
     star,
+    tree_key,
 )
 from cospec.intlinalg import determinant, smith_normal_form
 from cospec.matrices import MatrixKind, build_matrix
@@ -50,6 +55,31 @@ def test_tree_data_validation():
     assert td.c == (4, 4, 4, 0)  # leaves carry 2k - 2 = 4, the hub 0
     # c(u) = 0 exactly for a dominating vertex
     assert [v for v, c in enumerate(td.c) if c == 0] == [3]
+
+
+def test_tree_data_and_tree_key_refuse_the_same_non_trees():
+    for g, why in [
+        (cycle(4), "edge count differs from n - 1"),
+        (disjoint_union(cycle(3), complete(1)), "graph is disconnected"),
+    ]:
+        for refuse in (TreeData.from_graph, tree_key):
+            with pytest.raises(ValueError) as exc:
+                refuse(g)
+            assert str(exc.value) == f"not a tree: {why}"
+
+
+def test_rho_keeps_no_tree_alive():
+    # the edge sides rho reads are kept on the TreeData, outside its eq,
+    # hash and repr, so the tree is freed with it
+    tree = path(5)
+    ref = weakref.ref(tree)
+    t = TreeData.from_graph(tree)
+    assert rho(t, (0, 4)) == 4
+    same = TreeData(tree, t.c)
+    assert (t == same, hash(t) == hash(same), repr(t) == repr(same)) == (True, True, True)
+    del tree, t, same
+    gc.collect()
+    assert ref() is None
 
 
 def test_minimal_two_matchings_examples():

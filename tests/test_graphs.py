@@ -68,6 +68,8 @@ def test_parse_rejects_bad_header():
         parse_graph6("\x1f")
     with pytest.raises(Graph6ParseError):
         parse_graph6("")
+    exc = pytest.raises(Graph6ParseError, parse_graph6, "?").value
+    assert str(exc) == "graph6 encodes an empty vertex set (byte offset 0)"
 
 
 def test_parse_rejects_bad_data_byte():
@@ -357,6 +359,30 @@ def test_canonical_key_matches_brute_force_symmetric_graphs():
     )
     for g in (cycle(6), complete(6), star(5), cycle(8), cube):
         assert canonical_key(g) == _brute_force_key(g)
+
+
+def _pairwise_twins(n, rows):
+    # u and v are twins when N(u) - {v} = N(v) - {u}
+    return [
+        sum(1 << u for u in range(n)
+            if rows[u] & ~(1 << v) == rows[v] & ~(1 << u))
+        for v in range(n)
+    ]
+
+
+def test_twin_classes_match_pairwise_definition():
+    for n in range(1, 8):
+        for line in connected_graph6_lines(n):
+            g = parse_graph6(line)
+            for h in (g, complement(g)):
+                assert graphs._twin_classes(h.rows) == _pairwise_twins(n, h.rows), line
+    rng = random.Random(20)
+    for n in range(1, 15):
+        for _ in range(40):
+            p = rng.random()
+            g = from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                               if rng.random() < p])
+            assert graphs._twin_classes(g.rows) == _pairwise_twins(n, g.rows)
 
 
 # ---------------------------------------------------------------------------
