@@ -182,66 +182,53 @@ def snf_prefix(kind, charpolys):
     return ("P" + ";".join(parts)).encode("ascii")
 
 
-def _line_sides(n, line):
-    """(graph, complement) of one data line of n vertices."""
-    g = parse_graph6(line)
-    if g.n != n:
-        raise CensusInputError(f"expected {n} vertices, got {g.n}")
-    return g, complement(g)
+def _line_keys(n, tasks, deferred, item):
+    """The keys of one (lineno, line, indices) item, in either pass.
 
+    First pass (indices None): None for a disconnected line, which is
+    outside every domain, else the domain membership flags and the
+    (task_index, key) pairs of the tasks whose domain holds the graph, the
+    key of a deferred task being its snf_prefix. The complement's BFS runs
+    only for a connected line.
 
-def _blocks(sides):
-    # the block functions are read from this module per line, so that
-    # patched attributes apply
-    return _Blocks(sides, build_matrix, charpoly_coeffs, snf_diagonal)
+    Second pass (indices the deferred task indices whose prefixes
+    collided): their (task_index, full key) pairs. No BFS runs here but a
+    distance kind's, in build_matrix.
 
-
-def _full_key(blocks, task):
-    kind = task.kind
-    ints = [blocks.block(op, kind, side) for op, side in task.flavor.components]
-    return compose_key(kind, task.flavor, ints)
-
-
-def _graph_task_keys(n, tasks, deferred, numbered):
-    """First pass: domain membership flags and (task_index, key) pairs of
-    one (lineno, line), with the snf_prefix key for a deferred task; None
-    for a line outside every domain. A CospecError raised for the line
-    names it."""
-    lineno, line = numbered
+    A CospecError raised for the line names it."""
+    lineno, line, indices = item
     try:
-        g, cg = _line_sides(n, line)
-        dd = distance_data(g)
-        if not dd.connected:
-            return None  # outside every census domain
-        cdd = distance_data(cg)
-        member = {
-            Domain.CONNECTED: True,
-            Domain.CONNECTED_COMPLEMENT: cdd.connected,
-            Domain.DIAM2_PAIR: cdd.connected and dd.diameter == 2 and cdd.diameter == 2,
-        }
-        blocks = _blocks((g, cg))
-        out = []
-        for ti, task in enumerate(tasks):
-            if member[task.domain]:
-                if ti in deferred:
-                    kind = task.kind
-                    charpolys = [blocks.block("charpoly", kind, side)
-                                 for _, side in task.flavor.components]
-                    out.append((ti, snf_prefix(kind, charpolys)))
-                else:
-                    out.append((ti, _full_key(blocks, task)))
-        return member, out
-    except CospecError as exc:
-        raise at_line(exc, lineno) from exc
-
-
-def _refined_keys(n, tasks, marked):
-    """Second pass: the (task_index, full key) pairs of one (lineno, line,
-    task indices) whose prefixes collided."""
-    lineno, line, indices = marked
-    try:
-        blocks = _blocks(_line_sides(n, line))
-        return [(ti, _full_key(blocks, tasks[ti])) for ti in indices]
+        g = parse_graph6(line)
+        if g.n != n:
+            raise CensusInputError(f"expected {n} vertices, got {g.n}")
+        cg = complement(g)
+        member = None
+        if indices is None:
+            dd = distance_data(g)
+            if not dd.connected:
+                return None
+            cdd = distance_data(cg)
+            member = {
+                Domain.CONNECTED: True,
+                Domain.CONNECTED_COMPLEMENT: cdd.connected,
+                Domain.DIAM2_PAIR: cdd.connected and dd.diameter == 2 and cdd.diameter == 2,
+            }
+            indices = [ti for ti, task in enumerate(tasks) if member[task.domain]]
+        # the block functions are read from this module per line, so that
+        # patched attributes apply
+        blocks = _Blocks((g, cg), build_matrix, charpoly_coeffs, snf_diagonal)
+        keys = []
+        for ti in indices:
+            task = tasks[ti]
+            kind = task.kind
+            if member is not None and ti in deferred:
+                charpolys = [blocks.block("charpoly", kind, side)
+                             for _, side in task.flavor.components]
+                keys.append((ti, snf_prefix(kind, charpolys)))
+            else:
+                ints = [blocks.block(op, kind, side) for op, side in task.flavor.components]
+                keys.append((ti, compose_key(kind, task.flavor, ints)))
+        return keys if member is None else (member, keys)
     except CospecError as exc:
         raise at_line(exc, lineno) from exc
 
@@ -317,10 +304,10 @@ def sweep(n, tasks, lines, jobs=None):
     # None once a second graph has brought it
     pending = {ti: {} for ti in deferred}
     marked = {}  # line number -> deferred task indices to refine
+    work = partial(_line_keys, n, tasks, deferred)
     with Pool(workers) if workers > 1 else nullcontext() as pool:
-        first = _imap(pool, partial(_graph_task_keys, n, tasks, deferred), _data_lines(lines),
-                      chunk_size, window)
-        for (lineno, _), res in first:
+        first = ((lineno, line, None) for lineno, line in _data_lines(lines))
+        for (lineno, _, _), res in _imap(pool, work, first, chunk_size, window):
             if res is None:
                 continue
             member, keys = res
@@ -344,8 +331,7 @@ def sweep(n, tasks, lines, jobs=None):
                 marked.setdefault(lineno, []).append(ti)
         todo = ((lineno, line, marked[lineno]) for lineno, line in _data_lines(lines)
                 if lineno in marked)
-        for _, keys in _imap(pool, partial(_refined_keys, n, tasks), todo,
-                             _chunk_size(len(marked), jobs), window):
+        for _, keys in _imap(pool, work, todo, _chunk_size(len(marked), jobs), window):
             for ti, key in keys:
                 buckets[ti][key] += 1
     rows = [CensusRow(t, n, sizes[t.domain], b) for t, b in zip(tasks, buckets)]

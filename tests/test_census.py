@@ -202,9 +202,15 @@ def test_sweep_runs_one_bfs_per_side(monkeypatch):
     bfs = graphs._bfs
     runs = []
     monkeypatch.setattr(graphs, "_bfs", lambda g: runs.append(g) or bfs(g))
-    refine = census._refined_keys
+    line_keys = census._line_keys
     reread = []
-    monkeypatch.setattr(census, "_refined_keys", lambda *args: reread.append(args) or refine(*args))
+
+    def counted(n, tasks, deferred, item):
+        if item[2] is not None:
+            reread.append(item)
+        return line_keys(n, tasks, deferred, item)
+
+    monkeypatch.setattr(census, "_line_keys", counted)
     lines = list(connected_graph6_lines(6))
     lines += [write_graph6(empty(6)), write_graph6(disjoint_union(cycle(3), cycle(3)))]
     tasks = [CensusTask(kind, flavor, D.CONNECTED)
@@ -581,8 +587,8 @@ def test_bucket_count_mismatch_raises_consistency_error(monkeypatch):
     import cospec.census as census
     from cospec.errors import ConsistencyError
 
-    keys = census._graph_task_keys
-    monkeypatch.setattr(census, "_graph_task_keys", lambda *args: (keys(*args)[0], []))
+    keys = census._line_keys
+    monkeypatch.setattr(census, "_line_keys", lambda *args: (keys(*args)[0], []))
     task = CensusTask(K.ADJACENCY, F.SPECTRAL, D.CONNECTED)
     with pytest.raises(ConsistencyError, match="buckets hold 0 graphs"):
         sweep(4, [task], connected_graph6_lines(4), jobs=1)
