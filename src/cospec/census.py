@@ -10,19 +10,20 @@ all buckets of size >= 2. Merging count maps is commutative, so rows do
 not depend on input order or worker count; neither does a diagnostic,
 which names the first bad line of the input at any worker count.
 
-A sweep makes two passes over the input through one worker Pool. An SNF
-task is deferred when, for each of its SNF sides, a task of the same kind
-computes that side's charpoly block, on any domain. In the first pass a
-deferred task keys each graph by snf_prefix, read off those charpoly
-blocks, and the merge keeps one pending line number per prefix.
-Equal SNF keys have equal prefixes, so a graph alone in its prefix class is
-alone in its SNF bucket, and keeps the prefix as its key. When a second
-graph brings a prefix, both lines are marked; the second pass parses each
-marked line once more, computes the SNF blocks its marked tasks need, and
-the full keys replace the shared prefix buckets; there a distance kind's
-matrix computes the distance data. Buckets hold counts only, never whole
-graphs; the line numbers of the first pass are dropped when the sweep
-returns.
+A sweep makes two passes over the input through one worker Pool and one
+worker function, _line_keys. An SNF task is deferred when, for each of its
+SNF sides, a task of the same kind computes that side's charpoly block, on
+any domain. In the first pass a deferred task keys each graph by
+snf_prefix, read off those charpoly blocks, and the merge keeps one
+pending line number per prefix. Equal SNF keys have equal prefixes, so a
+graph alone in its prefix class is alone in its SNF bucket, and keeps the
+prefix as its key. When a second graph brings a prefix, both lines are
+marked with it; the second pass parses each marked line once more,
+computes the SNF blocks its marked tasks need, reads the prefix off them
+again, raises ConsistencyError if it is not the marked one, and the full
+keys replace the shared prefix buckets; there a distance kind's matrix
+computes the distance data. Buckets hold counts only, never whole graphs;
+the line numbers of the first pass are dropped when the sweep returns.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import islice
+from math import prod
 from multiprocessing import Pool
 
 from .errors import CensusInputError, ConsistencyError, CospecError, _prefixed, at_line
@@ -161,25 +163,39 @@ def _deferred_tasks(tasks):
 _COFACTOR_KINDS = (MatrixKind.LAPLACIAN, MatrixKind.DISTANCE_LAPLACIAN)
 
 
-def snf_prefix(kind, charpolys):
-    """Prefix key of an SNF fingerprint, read off the charpoly block
-    (ascending) of each of its sides: the rank, and the top determinantal
-    divisor d_rank where the charpoly gives it, which is |c_0| for a
-    nonsingular matrix and |c_1| / n for an l or dl matrix of rank n - 1
-    (its adjugate is a multiple of J). Both are functions of the SNF, so
-    equal SNF keys have equal prefixes. The leading "P" keeps a prefix
-    apart from every full key, which is decimal text."""
+def snf_prefix(kind, sides):
+    """Prefix key of an SNF fingerprint from the (size, rank, top) of each
+    of its sides, as _charpoly_side or _snf_side reads them: the rank, and
+    top, the top determinantal divisor d_rank, where a charpoly gives it:
+    at full rank, and for an l or dl matrix of rank n - 1 (its adjugate is
+    a multiple of J). Both are functions of the SNF, so equal SNF keys have
+    equal prefixes. The leading "P" keeps a prefix apart from every full
+    key, which is decimal text."""
     parts = []
-    for c in charpolys:
-        n = len(c) - 1
-        zeros = next(k for k, v in enumerate(c) if v)  # c is monic
-        if zeros == 0:
-            parts.append(f"{n},{abs(c[0])}")
-        elif zeros == 1 and kind in _COFACTOR_KINDS:
-            parts.append(f"{n - 1},{abs(c[1]) // n}")
+    for n, rank, top in sides:
+        if rank == n or rank == n - 1 and kind in _COFACTOR_KINDS:
+            parts.append(f"{rank},{top}")
         else:
-            parts.append(str(n - zeros))
+            parts.append(str(rank))
     return ("P" + ";".join(parts)).encode("ascii")
+
+
+def _charpoly_side(c):
+    """(size, rank, top) of a symmetric matrix from its charpoly c
+    (ascending): the rank is n less the multiplicity of the root 0, and top
+    is |c_0| at full rank and |c_1| / n at rank n - 1, which snf_prefix
+    keeps for l and dl only."""
+    n = len(c) - 1
+    zeros = next(k for k, v in enumerate(c) if v)  # c is monic
+    top = abs(c[0]) if zeros == 0 else abs(c[1]) // n if zeros == 1 else None
+    return n, n - zeros, top
+
+
+def _snf_side(d):
+    """(size, rank, top) of a matrix from its invariant factors d: the count
+    and the product of the nonzero ones."""
+    nonzero = [v for v in d if v]
+    return len(d), len(nonzero), prod(nonzero)
 
 
 def _line_keys(n, tasks, deferred, item):
@@ -188,12 +204,13 @@ def _line_keys(n, tasks, deferred, item):
     First pass (indices None): None for a disconnected line, which is
     outside every domain, else the domain membership flags and the
     (task_index, key) pairs of the tasks whose domain holds the graph, the
-    key of a deferred task being its snf_prefix. The complement's BFS runs
-    only for a connected line.
+    key of a deferred task being the snf_prefix read off its charpolys.
+    The complement's BFS runs only for a connected line.
 
-    Second pass (indices the deferred task indices whose prefixes
-    collided): their (task_index, full key) pairs. No BFS runs here but a
-    distance kind's, in build_matrix.
+    Second pass (indices the (task_index, prefix) pairs of the deferred
+    tasks whose prefixes collided): the (task_index, full key) pairs, after
+    the prefix read off the SNF blocks just computed is checked against the
+    first pass's. No BFS runs here but a distance kind's, in build_matrix.
 
     A CospecError raised for the line names it."""
     lineno, line, indices = item
@@ -213,20 +230,27 @@ def _line_keys(n, tasks, deferred, item):
                 Domain.CONNECTED_COMPLEMENT: cdd.connected,
                 Domain.DIAM2_PAIR: cdd.connected and dd.diameter == 2 and cdd.diameter == 2,
             }
-            indices = [ti for ti, task in enumerate(tasks) if member[task.domain]]
+            indices = [(ti, None) for ti, task in enumerate(tasks) if member[task.domain]]
         # the block functions are read from this module per line, so that
         # patched attributes apply
         blocks = _Blocks((g, cg), build_matrix, charpoly_coeffs, snf_diagonal)
         keys = []
-        for ti in indices:
+        for ti, prefix in indices:
             task = tasks[ti]
             kind = task.kind
             if member is not None and ti in deferred:
-                charpolys = [blocks.block("charpoly", kind, side)
-                             for _, side in task.flavor.components]
-                keys.append((ti, snf_prefix(kind, charpolys)))
+                sides = [_charpoly_side(blocks.block("charpoly", kind, side))
+                         for _, side in task.flavor.components]
+                keys.append((ti, snf_prefix(kind, sides)))
             else:
                 ints = [blocks.block(op, kind, side) for op, side in task.flavor.components]
+                if prefix is not None:
+                    got = snf_prefix(kind, [_snf_side(d) for d in ints])
+                    if got != prefix:
+                        raise ConsistencyError(
+                            f"task {kind.value}/{task.flavor.value}: invariant factors give "
+                            f"prefix {got.decode()}, charpolys gave {prefix.decode()}"
+                        )
                 keys.append((ti, compose_key(kind, task.flavor, ints)))
         return keys if member is None else (member, keys)
     except CospecError as exc:
@@ -303,7 +327,7 @@ def sweep(n, tasks, lines, jobs=None):
     # per deferred task, prefix -> line number of its one graph so far, or
     # None once a second graph has brought it
     pending = {ti: {} for ti in deferred}
-    marked = {}  # line number -> deferred task indices to refine
+    marked = {}  # line number -> (deferred task index, prefix) pairs to refine
     work = partial(_line_keys, n, tasks, deferred)
     with Pool(workers) if workers > 1 else nullcontext() as pool:
         first = ((lineno, line, None) for lineno, line in _data_lines(lines))
@@ -327,8 +351,8 @@ def sweep(n, tasks, lines, jobs=None):
                 if other is not None:
                     seen[key] = None
                     del buckets[ti][key]
-                    marked.setdefault(other, []).append(ti)
-                marked.setdefault(lineno, []).append(ti)
+                    marked.setdefault(other, []).append((ti, key))
+                marked.setdefault(lineno, []).append((ti, key))
         todo = ((lineno, line, marked[lineno]) for lineno, line in _data_lines(lines)
                 if lineno in marked)
         for _, keys in _imap(pool, work, todo, _chunk_size(len(marked), jobs), window):

@@ -72,13 +72,21 @@ def charpoly_coeffs(m):
     complement symmetric, so only its upper triangle is stored: row t holds
     the entries from the diagonal rightwards. Each step drops the pivot row
     and column.
+
+    Digits that do not decode to a monic polynomial, or coefficients that
+    break c_(n-1) = -tr m or 2 c_(n-2) = tr(m)^2 - f (f = tr m^2 for a
+    symmetric m), raise ConsistencyError. A non-square or non-symmetric m
+    is a ValueError.
     """
     n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("charpoly_coeffs needs a square matrix")
     if any(map(ne, map(tuple, m), zip(*m))):
         raise ValueError("charpoly_coeffs needs a symmetric matrix")
     if not n:
         return (1,)
-    r = isqrt(sum([v * v for row in m for v in row]) // n) + 1
+    f = sum([v * v for row in m for v in row])
+    r = isqrt(f // n) + 1
     b = ((1 + r) ** n).bit_length() + 1
     x = 1 << b
     tri = [[row[i] - x, *row[i + 1 :]] for i, row in enumerate(m)]
@@ -107,6 +115,11 @@ def charpoly_coeffs(m):
         raise ConsistencyError(
             f"charpoly digits of det(M - 2^{b} I) do not decode to a monic "
             f"degree-{n} polynomial"
+        )
+    tr = sum([row[i] for i, row in enumerate(m)])
+    if coeffs[n - 1] != -tr or n > 1 and 2 * coeffs[n - 2] != tr * tr - f:
+        raise ConsistencyError(
+            f"degree-{n} charpoly coefficients do not match the traces of M and M^2"
         )
     return tuple(coeffs)
 

@@ -737,6 +737,29 @@ def test_census_names_the_line_of_a_kernel_error(monkeypatch):
     assert (str(exc), exc.lineno) == ("line 4: charpoly digits do not decode", 4)
 
 
+def test_second_pass_checks_the_first_pass_prefix(monkeypatch):
+    # an SNF that drops a prime from its last nonzero factor changes the
+    # top determinantal divisor that the charpoly gave in the first pass;
+    # the second pass reads the prefix off the SNF again and names the line
+    import cospec.census as census
+
+    snf = census.snf_diagonal
+
+    def snf_diagonal(m):
+        d = list(snf(m))
+        last = max(i for i, v in enumerate(d) if v)
+        d[last] //= next((p for p in range(2, d[last] + 1) if d[last] % p == 0), 1)
+        return tuple(d)
+
+    monkeypatch.setattr(census, "snf_diagonal", snf_diagonal)
+    tasks = [CensusTask(K.ADJACENCY, flavor, D.CONNECTED) for flavor in (F.SPECTRAL, F.INVARIANT)]
+    lines = [">>graph6<<", *connected_graph6_lines(6)]
+    for jobs in (1, 2):
+        exc = pytest.raises(ConsistencyError, sweep, 6, tasks, lines, jobs).value
+        assert (str(exc), exc.lineno) == (
+            "line 59: task a/invariant: invariant factors give prefix P6,2, charpolys gave P6,4", 59)
+
+
 def test_census_names_the_line_of_a_second_pass_error(monkeypatch):
     # the invariant task is deferred behind the spectral task's charpoly,
     # so its SNF runs in the second pass only, first for the first data

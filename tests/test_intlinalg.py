@@ -211,6 +211,11 @@ def test_determinant_and_snf_reject_non_square():
             determinant(m)
         with pytest.raises(ValueError, match="square"):
             smith_normal_form(m)
+        # a ragged matrix once passed the symmetry test, which zips rows
+        # against columns, and crashed the elimination with an IndexError
+        for fn in (charpoly_coeffs, charpoly, determinantal_gcds_Qx):
+            with pytest.raises(ValueError, match="square"):
+                fn(m)
     assert determinant([]) == 1 and tuple(smith_normal_form([])) == ()
 
 
@@ -219,6 +224,15 @@ def test_charpoly_decode_check(monkeypatch):
     monkeypatch.setattr(cospec.intlinalg, "isqrt", lambda v: 0)
     with pytest.raises(ConsistencyError):
         charpoly_coeffs([[100]])
+
+
+def test_charpoly_trace_check(monkeypatch):
+    # with digits too small, [[0, 5], [5, 0]] decodes to the monic
+    # x^2 - 2x + 7 instead of x^2 - 25; its c_1 is not -tr M
+    assert charpoly_coeffs([[0, 5], [5, 0]]) == (-25, 0, 1)
+    monkeypatch.setattr(cospec.intlinalg, "isqrt", lambda v: 0)
+    with pytest.raises(ConsistencyError, match="traces"):
+        charpoly_coeffs([[0, 5], [5, 0]])
 
 
 def test_kernels_against_sympy():
