@@ -325,7 +325,8 @@ def sweep(n, tasks, lines, jobs=None):
     buckets = [Counter() for _ in tasks]
     sizes = {d: 0 for d in Domain}
     # per deferred task, prefix -> line number of its one graph so far, or
-    # None once a second graph has brought it
+    # None once a second graph has brought it; the prefixes still held by
+    # one line enter the buckets when the first pass ends
     pending = {ti: {} for ti in deferred}
     marked = {}  # line number -> (deferred task index, prefix) pairs to refine
     work = partial(_line_keys, n, tasks, deferred)
@@ -339,20 +340,19 @@ def sweep(n, tasks, lines, jobs=None):
                 if member[d]:
                     sizes[d] += 1
             for ti, key in keys:
-                if ti not in deferred:
+                seen = pending.get(ti)
+                if seen is None:
                     buckets[ti][key] += 1
                     continue
-                seen = pending[ti]
-                if key not in seen:
-                    seen[key] = lineno
-                    buckets[ti][key] = 1
-                    continue
-                other = seen[key]
-                if other is not None:
-                    seen[key] = None
-                    del buckets[ti][key]
-                    marked.setdefault(other, []).append((ti, key))
-                marked.setdefault(lineno, []).append((ti, key))
+                other = seen.setdefault(key, lineno)
+                if other != lineno:
+                    if other is not None:
+                        seen[key] = None
+                        marked.setdefault(other, []).append((ti, key))
+                    marked.setdefault(lineno, []).append((ti, key))
+        for ti, seen in pending.items():
+            buckets[ti].update(key for key, lineno in seen.items() if lineno is not None)
+        pending = seen = None  # the second pass reads only the marks
         todo = ((lineno, line, marked[lineno]) for lineno, line in _data_lines(lines)
                 if lineno in marked)
         for _, keys in _imap(pool, work, todo, _chunk_size(len(marked), jobs), window):
