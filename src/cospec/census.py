@@ -15,15 +15,18 @@ worker function, _line_keys. An SNF task is deferred when, for each of its
 SNF sides, a task of the same kind computes that side's charpoly block, on
 any domain. In the first pass a deferred task keys each graph by
 snf_prefix, read off those charpoly blocks, and the merge keeps one
-pending line number per prefix. Equal SNF keys have equal prefixes, so a
-graph alone in its prefix class is alone in its SNF bucket, and keeps the
-prefix as its key. When a second graph brings a prefix, both lines are
-marked with it; the second pass parses each marked line once more,
-computes the SNF blocks its marked tasks need, reads the prefix off them
-again, raises ConsistencyError if it is not the marked one, and the full
-keys replace the shared prefix buckets; there a distance kind's matrix
+pending line number per prefix, not a bucket. Equal SNF keys have equal
+prefixes, so a graph alone in its prefix class is alone in its SNF bucket,
+and keeps the prefix as its key: when the first pass ends, each prefix
+still held by one line enters the buckets with count 1, and the pending
+line numbers are released. When a second graph brings a prefix, both
+lines are marked with it, and a third or later graph marks its own line;
+the marks are all that the second pass reads of the first. It parses each
+marked line once more, computes the SNF blocks its marked tasks need,
+reads the prefix off them again, raises ConsistencyError if it is not the
+marked one, and buckets the full keys; there a distance kind's matrix
 computes the distance data. Buckets hold counts only, never whole graphs;
-the line numbers of the first pass are dropped when the sweep returns.
+the marks are dropped when the sweep returns.
 """
 
 from __future__ import annotations
@@ -115,9 +118,9 @@ class CensusRow:
 
     buckets counts the graphs per full fingerprint, except that a graph
     alone in its prefix class of a deferred SNF task (see sweep) is counted
-    under its prefix key, b"P..."; such a graph is alone in its fingerprint
-    bucket too, so with_mate and len(buckets) are those of the full
-    fingerprints."""
+    under its prefix key, b"P...", which enters the buckets when the first
+    pass ends; such a graph is alone in its fingerprint bucket too, so
+    with_mate and len(buckets) are those of the full fingerprints."""
 
     task: CensusTask
     n: int
@@ -504,7 +507,8 @@ def diff_paper(max_n=8, sources=None, jobs=None):
     that no such cell has, when such a cell has no source, or when more
     than one n reads stdin, so a run that skips a cell, a source that
     checks nothing or a sweep over used-up stdin is never a pass. A
-    CospecError from the sweep of a source names it first ('stdin' for '-').
+    CospecError from a sweep names its source first: the file, 'stdin' for
+    '-', or 'generator n = N' for the bundled generator.
     """
     jobs = _job_count(jobs)
     sources = sources or {}
@@ -535,12 +539,12 @@ def diff_paper(max_n=8, sources=None, jobs=None):
             CensusTask(c.kind, c.flavor, c.domain) for c in group if c.row != "domain-size"
         )
         pathname = sources.get(n)
+        name = (f"generator n = {n}" if pathname is None
+                else "stdin" if pathname == "-" else pathname)
         try:
             rows, sizes = sweep(n, tasks, _source_lines(n, pathname), jobs=jobs)
         except CospecError as exc:
-            if pathname is None:
-                raise
-            raise _prefixed(exc, f"{'stdin' if pathname == '-' else pathname}: ") from exc
+            raise _prefixed(exc, f"{name}: ") from exc
         by_task = {r.task: r for r in rows}
         for cell in group:
             if cell.row == "domain-size":

@@ -737,10 +737,9 @@ def test_census_names_the_line_of_a_kernel_error(monkeypatch):
     assert (str(exc), exc.lineno) == ("line 4: charpoly digits do not decode", 4)
 
 
-def test_second_pass_checks_the_first_pass_prefix(monkeypatch):
+def drop_a_prime_from_the_snf(monkeypatch):
     # an SNF that drops a prime from its last nonzero factor changes the
-    # top determinantal divisor that the charpoly gave in the first pass;
-    # the second pass reads the prefix off the SNF again and names the line
+    # top determinantal divisor that the charpoly gave in the first pass
     import cospec.census as census
 
     snf = census.snf_diagonal
@@ -752,12 +751,28 @@ def test_second_pass_checks_the_first_pass_prefix(monkeypatch):
         return tuple(d)
 
     monkeypatch.setattr(census, "snf_diagonal", snf_diagonal)
+
+
+def test_second_pass_checks_the_first_pass_prefix(monkeypatch):
+    # the second pass reads the prefix off the SNF again and names the line
+    drop_a_prime_from_the_snf(monkeypatch)
     tasks = [CensusTask(K.ADJACENCY, flavor, D.CONNECTED) for flavor in (F.SPECTRAL, F.INVARIANT)]
     lines = [">>graph6<<", *connected_graph6_lines(6)]
     for jobs in (1, 2):
         exc = pytest.raises(ConsistencyError, sweep, 6, tasks, lines, jobs).value
         assert (str(exc), exc.lineno) == (
             "line 59: task a/invariant: invariant factors give prefix P6,2, charpolys gave P6,4", 59)
+
+
+def test_diff_paper_names_the_generator_n_of_a_failing_sweep(monkeypatch):
+    # the n = 4 cells pass; the first n = 5 line that the second pass
+    # refines for q/gen-invariant fails its prefix check
+    drop_a_prime_from_the_snf(monkeypatch)
+    want = ("generator n = 5: line 2: task q/gen-invariant: invariant factors give "
+            "prefix P4;5,8, charpolys gave P4;5,16", 2)
+    for jobs in (1, 2):
+        exc = pytest.raises(ConsistencyError, diff_paper, max_n=6, jobs=jobs).value
+        assert (str(exc), exc.lineno) == want
 
 
 def test_census_names_the_line_of_a_second_pass_error(monkeypatch):

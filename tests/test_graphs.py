@@ -161,12 +161,16 @@ def test_long_form_agrees_with_networkx():
 
 
 def test_graph_validation():
-    with pytest.raises(ValueError):
-        Graph(2, (1, 0))  # asymmetric
-    with pytest.raises(ValueError):
-        Graph(2, (1 << 0, 1))  # loop at 0
-    with pytest.raises(ValueError):
-        Graph(0, ())
+    for n, rows, message in [
+        (2, (2, 0), "adjacency not symmetric at (0, 1)"),
+        (2, (1 << 0, 1), "loop at vertex 0"),
+        (2, (0,), "adjacency rows do not match the vertex count"),
+        (2, (4, 0), "row 0 has bits beyond vertex 1"),
+        (0, (), "vertex count 0 outside [1, 64]"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            Graph(n, rows)
+        assert str(exc.value) == message
     for edges, bad in [([(0, 3)], "(0, 3)"), ([(0, 1), (-1, 2)], "(-1, 2)")]:
         with pytest.raises(ValueError) as exc:
             from_edges(3, edges)

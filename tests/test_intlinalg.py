@@ -217,6 +217,7 @@ def test_determinant_and_snf_reject_non_square():
             with pytest.raises(ValueError, match="square"):
                 fn(m)
     assert determinant([]) == 1 and tuple(smith_normal_form([])) == ()
+    assert charpoly_coeffs([]) == (1,)
 
 
 def test_charpoly_decode_check(monkeypatch):
