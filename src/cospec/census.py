@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import islice
-from math import prod
 from multiprocessing import Pool
 
 from .errors import CensusInputError, ConsistencyError, CospecError, _prefixed, at_line
@@ -56,7 +55,7 @@ from .graphs import (
 # cof_coeffs stays a census attribute for tools that patch the block
 # functions here, though the sweep builds the cof block from its charpoly
 from .intlinalg import charpoly_coeffs, cof_coeffs, snf_diagonal
-from .invariants import Flavor, _Blocks, compose_key
+from .invariants import Flavor, _Blocks, _charpoly_side, _snf_side, compose_key, snf_prefix
 from .matrices import MatrixKind, TokenEnum, build_matrix
 
 
@@ -161,44 +160,6 @@ def _deferred_tasks(tasks):
         if snf and snf <= charpoly:
             out.add(ti)
     return frozenset(out)
-
-
-_COFACTOR_KINDS = (MatrixKind.LAPLACIAN, MatrixKind.DISTANCE_LAPLACIAN)
-
-
-def snf_prefix(kind, sides):
-    """Prefix key of an SNF fingerprint from the (size, rank, top) of each
-    of its sides, as _charpoly_side or _snf_side reads them: the rank, and
-    top, the top determinantal divisor d_rank, where a charpoly gives it:
-    at full rank, and for an l or dl matrix of rank n - 1 (its adjugate is
-    a multiple of J). Both are functions of the SNF, so equal SNF keys have
-    equal prefixes. The leading "P" keeps a prefix apart from every full
-    key, which is decimal text."""
-    parts = []
-    for n, rank, top in sides:
-        if rank == n or rank == n - 1 and kind in _COFACTOR_KINDS:
-            parts.append(f"{rank},{top}")
-        else:
-            parts.append(str(rank))
-    return ("P" + ";".join(parts)).encode("ascii")
-
-
-def _charpoly_side(c):
-    """(size, rank, top) of a symmetric matrix from its charpoly c
-    (ascending): the rank is n less the multiplicity of the root 0, and top
-    is |c_0| at full rank and |c_1| / n at rank n - 1, which snf_prefix
-    keeps for l and dl only."""
-    n = len(c) - 1
-    zeros = next(k for k, v in enumerate(c) if v)  # c is monic
-    top = abs(c[0]) if zeros == 0 else abs(c[1]) // n if zeros == 1 else None
-    return n, n - zeros, top
-
-
-def _snf_side(d):
-    """(size, rank, top) of a matrix from its invariant factors d: the count
-    and the product of the nonzero ones."""
-    nonzero = [v for v in d if v]
-    return len(d), len(nonzero), prod(nonzero)
 
 
 def _line_keys(n, tasks, deferred, item):

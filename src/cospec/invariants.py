@@ -23,11 +23,12 @@ CPython's 4,300-digit limit on str(int).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from .errors import ConnectivityError, pair_map
 from .graphs import complement, distance_data
 from .intlinalg import charpoly_coeffs, determinantal_gcds_Qx, format_factors, snf_diagonal
-from .matrices import TokenEnum, build_matrix
+from .matrices import MatrixKind, TokenEnum, build_matrix
 from .polynomials import pstr, psub
 
 
@@ -106,6 +107,11 @@ class _Blocks:
         return ints
 
 
+def _encode(blocks):
+    """Each block's ints joined by ",", the blocks by ";", as ASCII."""
+    return ";".join(",".join(map(str, ints)) for ints in blocks).encode("ascii")
+
+
 def compose_key(kind, flavor, blocks):
     """Assemble the byte key from already computed component int lists.
 
@@ -113,20 +119,50 @@ def compose_key(kind, flavor, blocks):
     (kind, flavor). An empty block (a zero cof polynomial) is the empty
     string between separators.
     """
-    return ";".join(",".join(map(str, ints)) for ints in blocks).encode("ascii")
+    return _encode(blocks)
+
+
+_COFACTOR_KINDS = (MatrixKind.LAPLACIAN, MatrixKind.DISTANCE_LAPLACIAN)
+
+
+def snf_prefix(kind, sides):
+    """Prefix key of an SNF fingerprint: b"P", then the key encoding of each
+    side's rank and, where a charpoly gives it, top = d_rank: at full rank,
+    and for an l or dl matrix of rank n - 1 (its adjugate is a multiple of
+    J). sides holds (size, rank, top) as _charpoly_side or _snf_side reads
+    it. Both are functions of the SNF, so equal SNF keys share a prefix."""
+    return b"P" + _encode(
+        (rank, top) if rank == n or rank == n - 1 and kind in _COFACTOR_KINDS else (rank,)
+        for n, rank, top in sides
+    )
+
+
+def _charpoly_side(c):
+    """(size, rank, top) of a symmetric matrix from its charpoly c
+    (ascending): the rank is n less the multiplicity of the root 0, and top
+    is |c_0| at full rank and |c_1| / n at rank n - 1, which snf_prefix
+    keeps for l and dl only."""
+    n = len(c) - 1
+    zeros = next(k for k, v in enumerate(c) if v)  # c is monic
+    top = abs(c[0]) if zeros == 0 else abs(c[1]) // n if zeros == 1 else None
+    return n, n - zeros, top
+
+
+def _snf_side(d):
+    """(size, rank, top) of a matrix from its invariant factors d: the count
+    and the product of the nonzero ones."""
+    nonzero = [v for v in d if v]
+    return len(d), len(nonzero), prod(nonzero)
 
 
 def fingerprint_blocks(g, kind, flavor):
     """The component int lists of g's fingerprint, in flavor.components order."""
-    sides = [g]
-    if flavor.uses_complement:
-        cg = complement(g)
-        if kind.requires_connected and not distance_data(cg).connected:
-            raise ConnectivityError(
-                f"generalized {kind.value!r} fingerprints need a connected complement"
-            )
-        sides.append(cg)
-    blocks = _Blocks(sides, build_matrix, charpoly_coeffs, snf_diagonal)
+    cg = complement(g)
+    if flavor.uses_complement and kind.requires_connected and not distance_data(cg).connected:
+        raise ConnectivityError(
+            f"generalized {kind.value!r} fingerprints need a connected complement"
+        )
+    blocks = _Blocks((g, cg), build_matrix, charpoly_coeffs, snf_diagonal)
     return [blocks.block(op, kind, side) for op, side in flavor.components]
 
 
