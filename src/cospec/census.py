@@ -25,8 +25,15 @@ the marks are all that the second pass reads of the first. It parses each
 marked line once more, computes the SNF blocks its marked tasks need,
 reads the prefix off them again, raises ConsistencyError if it is not the
 marked one, and buckets the full keys; there a distance kind's matrix
-computes the distance data. Buckets hold counts only, never whole graphs;
-the marks are dropped when the sweep returns.
+computes the distance data. In either pass an SNF block that is not a
+divisibility chain d_1 | d_2 | ... is a ConsistencyError too. Buckets hold
+counts only, never whole graphs; the marks are dropped when the sweep
+returns.
+
+This module builds no key bytes: invariants.compose_key builds the full
+keys and invariants.snf_prefix the prefix keys, with one encoder. A prefix
+starts with "P", which no full key holds, so the two never meet in a
+bucket.
 """
 
 from __future__ import annotations
@@ -54,7 +61,7 @@ from .graphs import (
 )
 # cof_coeffs stays a census attribute for tools that patch the block
 # functions here, though the sweep builds the cof block from its charpoly
-from .intlinalg import charpoly_coeffs, cof_coeffs, snf_diagonal
+from .intlinalg import chain_error, charpoly_coeffs, cof_coeffs, snf_diagonal
 from .invariants import Flavor, _Blocks, _charpoly_side, _snf_side, compose_key, snf_prefix
 from .matrices import MatrixKind, TokenEnum, build_matrix
 
@@ -175,6 +182,8 @@ def _line_keys(n, tasks, deferred, item):
     tasks whose prefixes collided): the (task_index, full key) pairs, after
     the prefix read off the SNF blocks just computed is checked against the
     first pass's. No BFS runs here but a distance kind's, in build_matrix.
+    In either pass each SNF block of a full key must be a divisibility
+    chain, as InvariantFactors requires (intlinalg.chain_error).
 
     A CospecError raised for the line names it."""
     lineno, line, indices = item
@@ -215,6 +224,10 @@ def _line_keys(n, tasks, deferred, item):
                             f"task {kind.value}/{task.flavor.value}: invariant factors give "
                             f"prefix {got.decode()}, charpolys gave {prefix.decode()}"
                         )
+                for (op, _), d in zip(task.flavor.components, ints):
+                    error = op == "snf" and chain_error(d)
+                    if error:
+                        raise ConsistencyError(f"task {kind.value}/{task.flavor.value}: {error}")
                 keys.append((ti, compose_key(kind, task.flavor, ints)))
         return keys if member is None else (member, keys)
     except CospecError as exc:

@@ -150,13 +150,9 @@ class InvariantFactors:
     def __post_init__(self):
         d = tuple(self.d)
         object.__setattr__(self, "d", d)
-        for i, v in enumerate(d):
-            if v < 0:
-                raise ValueError(f"invariant factor d_{i + 1} = {v} is negative")
-            if i and d[i - 1] == 0 and v != 0:
-                raise ValueError("zero invariant factors must form a trailing block")
-            if i and d[i - 1] != 0 and v != 0 and v % d[i - 1]:
-                raise ValueError(f"d_{i} = {d[i - 1]} does not divide d_{i + 1} = {v}")
+        error = chain_error(d)
+        if error:
+            raise ValueError(error)
 
     @property
     def rank(self):
@@ -171,6 +167,21 @@ class InvariantFactors:
 
     def __str__(self):
         return format_factors(self.d)
+
+
+def chain_error(d):
+    """Why d is not an SNF diagonal d_1 | d_2 | ..., nonnegative with its
+    zeros trailing, or None when it is one."""
+    prev = 1
+    for i, v in enumerate(d):
+        if v < 0:
+            return f"invariant factor d_{i + 1} = {v} is negative"
+        if v and not prev:
+            return "zero invariant factors must form a trailing block"
+        if v and v % prev:
+            return f"d_{i} = {prev} does not divide d_{i + 1} = {v}"
+        prev = v
+    return None
 
 
 def format_factors(factors):

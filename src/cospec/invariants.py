@@ -18,6 +18,11 @@ count. With that count fixed the text decodes uniquely, so distinct block
 lists never share a key; no hashing is involved. Every coefficient of a
 graph matrix on at most 64 vertices has fewer than 215 digits, far below
 CPython's 4,300-digit limit on str(int).
+
+This module builds every key byte, also the census's snf_prefix keys:
+b"P" and then the same encoding of each SNF side's rank and top
+determinantal divisor, as b"P4,1;4,1" for the adjacency gen-invariant
+prefix of P_4. A full key holds no "P", so it never equals a prefix.
 """
 
 from __future__ import annotations

@@ -764,6 +764,33 @@ def test_second_pass_checks_the_first_pass_prefix(monkeypatch):
             "line 59: task a/invariant: invariant factors give prefix P6,2, charpolys gave P6,4", 59)
 
 
+def test_sweep_checks_that_every_snf_is_a_divisor_chain(monkeypatch):
+    # an SNF whose last two nonzero factors 1, 21 become 3, 7 keeps its
+    # rank and product, so it passes the prefix check; the divisor chain
+    # rule stops the sweep, in the second pass of a deferred task and in
+    # the first of an eager one
+    import cospec.census as census
+
+    snf = census.snf_diagonal
+
+    def snf_diagonal(m):
+        d = list(snf(m))
+        last = max(i for i, v in enumerate(d) if v)
+        if d[last - 1:last + 1] == [1, 21]:
+            d[last - 1:last + 1] = [3, 7]
+        return tuple(d)
+
+    monkeypatch.setattr(census, "snf_diagonal", snf_diagonal)
+    lines = [">>graph6<<", *connected_graph6_lines(6)]
+    for flavors, deferred in (((F.SPECTRAL, F.INVARIANT), {1}), ((F.INVARIANT,), set())):
+        tasks = [CensusTask(K.LAPLACIAN, flavor, D.CONNECTED) for flavor in flavors]
+        assert census._deferred_tasks(tasks) == deferred
+        for jobs in (1, 2):
+            exc = pytest.raises(ConsistencyError, sweep, 6, tasks, lines, jobs).value
+            assert (str(exc), exc.lineno) == (
+                "line 29: task l/invariant: d_4 = 3 does not divide d_5 = 7", 29)
+
+
 def test_diff_paper_names_the_generator_n_of_a_failing_sweep(monkeypatch):
     # the n = 4 cells pass; the first n = 5 line that the second pass
     # refines for q/gen-invariant fails its prefix check

@@ -14,7 +14,7 @@ from cospec.closed_forms import (
     tree_delta_n,
     tree_snf,
 )
-from cospec.errors import UnsupportedSizeError
+from cospec.errors import ConsistencyError, UnsupportedSizeError
 from cospec.graphs import (
     complete,
     complete_multipartite,
@@ -176,6 +176,17 @@ def test_tree_delta_n_examples():
     assert tree_delta_n(TreeData.from_graph(star(3))) == 300
     assert tree_delta_n(TreeData.from_graph(path(3))) == 12
     assert tree_delta_n(TreeData.from_graph(path(4))) == 493
+
+
+def test_tree_delta_n_names_the_routes_that_disagree(monkeypatch):
+    import cospec.closed_forms as closed_forms
+
+    det = closed_forms.determinant
+    monkeypatch.setattr(closed_forms, "determinant", lambda m: det(m) + 1)
+    with pytest.raises(ConsistencyError) as info:
+        tree_delta_n(TreeData.from_graph(path(4)))
+    assert str(info.value) == ("Delta_n routes disagree: determinant = 494, "
+                               "invariant factor product = 493, rho sum = 493")
 
 
 def test_star_delta_closed_form():

@@ -6,18 +6,22 @@ from cospec.errors import ConnectivityError
 from cospec.graphs import (
     complement,
     complete,
+    connected_graph6_lines,
     cycle,
     disjoint_union,
     distance_data,
     empty,
     from_edges,
     generate_connected,
+    parse_graph6,
     path,
     star,
 )
 from cospec.intlinalg import charpoly, charpoly_coeffs, determinant, snf_diagonal
 from cospec.invariants import (
     Flavor,
+    _charpoly_side,
+    _snf_side,
     cokernel_group,
     compose_key,
     describe_fingerprint,
@@ -25,6 +29,7 @@ from cospec.invariants import (
     fingerprint_blocks,
     is_codeterminantal_Qx,
     related,
+    snf_prefix,
 )
 from cospec.matrices import MatrixKind, build_matrix
 from cospec.polynomials import padd, pmul
@@ -111,6 +116,38 @@ def test_fingerprint_negative_ints_roundtrip():
     # charpoly x^3 - 3x - 2 ascending: (-2, -3, 0, 1)
     assert key == b"-2,-3,0,1"
     assert [int(v) for v in key.decode("ascii").split(",")] == [-2, -3, 0, 1]
+
+
+def test_snf_prefix_byte_layout():
+    # b"P", then the key encoding of each side's (rank, top) or (rank,)
+    # part, read alike off the charpolys and off the SNF
+    cases = [
+        (path(4), K.ADJACENCY, b"P4,1;4,1"),  # both sides at full rank
+        (cycle(4), K.LAPLACIAN, b"P3,4;2"),  # an l side of rank n - 1 keeps d_3
+        (cycle(4), K.ADJACENCY, b"P2;4,1"),  # a rank-deficient a side keeps its rank only
+    ]
+    for g, kind, want in cases:
+        charpolys = fingerprint_blocks(g, kind, F.GEN_SPECTRAL)
+        factors = fingerprint_blocks(g, kind, F.GEN_INVARIANT)
+        assert snf_prefix(kind, [_charpoly_side(c) for c in charpolys]) == want
+        assert snf_prefix(kind, [_snf_side(d) for d in factors]) == want
+
+
+def test_no_full_key_starts_with_a_prefix_mark():
+    # a census keeps a lone prefix key next to full keys of the same task
+    keys = 0
+    for n in range(1, 7):
+        for line in connected_graph6_lines(n):
+            g = parse_graph6(line)
+            for kind in K:
+                for flavor in F:
+                    try:
+                        key = fingerprint(g, kind, flavor)
+                    except ConnectivityError:
+                        continue
+                    assert not key.startswith(b"P"), (line, kind, flavor)
+                    keys += 1
+    assert keys == 6240
 
 
 # Hypothesis properties: reproducible examples and no example database
