@@ -38,10 +38,9 @@ from .graphs import (
     write_graph6,
 )
 from .intlinalg import (
-    IntPolynomial,
     InvariantFactors,
-    charpoly,
-    cof_polynomial,
+    charpoly_coeffs,
+    cof_coeffs,
     determinant,
     determinantal_gcds_Qx,
     smith_normal_form,

@@ -38,10 +38,11 @@ from .census import CensusSpec, Domain, diff_paper, run_census
 from .closed_forms import TreeData, multipartite_snf, star_snf, tree_snf
 from .errors import CospecError, at_line, pair_map
 from .graphs import _read_lines, iter_graph6_lines, parse_graph6
-from .intlinalg import charpoly, cof_polynomial, format_factors, smith_normal_form
+from .intlinalg import charpoly_coeffs, cof_coeffs, format_factors, smith_normal_form
 from .invariants import (Flavor, describe_fingerprint, fingerprint, is_codeterminantal_Qx,
                           related)
 from .matrices import MatrixKind, build_matrix
+from .polynomials import pstr
 
 
 def format_matrix(m):
@@ -120,8 +121,8 @@ def _cmd_each_graph(args):
 
 
 def _polynomial_text(args, g):
-    p = args.polynomial(build_matrix(g, args.kind))
-    return json.dumps({"coeffs": list(p.coeffs)}) if args.format == "json" else str(p)
+    coeffs = args.polynomial(build_matrix(g, args.kind))
+    return json.dumps({"coeffs": list(coeffs)}) if args.format == "json" else pstr(coeffs)
 
 
 def _fingerprint_text(args, g):
@@ -211,8 +212,8 @@ def build_parser():
     add_graph_input(add_kind("matrix", "print a graph matrix"),
                     lambda a, g: format_matrix(build_matrix(g, a.kind)))
     for name, summary, polynomial in (
-        ("charpoly", "characteristic polynomial det(xI - M)", charpoly),
-        ("cof", "cofactor-sum polynomial of xI - M", cof_polynomial),
+        ("charpoly", "characteristic polynomial det(xI - M)", charpoly_coeffs),
+        ("cof", "cofactor-sum polynomial of xI - M", cof_coeffs),
     ):
         p = add_kind(name, summary)
         p.add_argument("--format", choices=("text", "json"), default="text")

@@ -14,7 +14,7 @@ from math import isqrt, prod
 from operator import ne
 
 from .errors import ConsistencyError
-from .polynomials import IntPolynomial, pgcd, pmonic, psub
+from .polynomials import pgcd, pmonic, psub
 
 
 def identity_matrix(n):
@@ -124,21 +124,12 @@ def charpoly_coeffs(m):
     return tuple(coeffs)
 
 
-def charpoly(m):
-    """Monic characteristic polynomial p(x) = det(xI - m)."""
-    return IntPolynomial(charpoly_coeffs(m))
-
-
 def cof_coeffs(m):
-    """Coefficients (ascending) of cof(xI - m), the sum of all signed
-    (n-1)-cofactors, computed as det(xI - m + J) - det(xI - m)."""
+    """Coefficients (ascending) of c(x) = cof(xI - m), the sum of all signed
+    (n-1)-cofactors, with det(xI - m + yJ) = p(x) + y*c(x) for every y,
+    p = charpoly_coeffs(m); computed as det(xI - m + J) - det(xI - m)."""
     shifted = [[v - 1 for v in row] for row in m]
     return psub(charpoly_coeffs(shifted), charpoly_coeffs(m))
-
-
-def cof_polynomial(m):
-    """c(x) with det(xI - m + yJ) = charpoly(m)(x) + y*c(x) for every y."""
-    return IntPolynomial(cof_coeffs(m))
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,13 @@
 """Exact univariate polynomial arithmetic over the integers and rationals.
 
 Coefficient tuples are ascending (index = degree) with no trailing zeros;
-the zero polynomial is the empty tuple. The kernels below work on raw
-tuples; :class:`IntPolynomial` is the value type exposed by the public API.
+the zero polynomial is the empty tuple. Charpolys and cofactor
+polynomials are such tuples everywhere, also in the public API and the
+CLI; pstr renders one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -133,36 +133,3 @@ def pstr(a):
         text += f" {sign} {body}"
     return text
 
-
-@dataclass(frozen=True)
-class IntPolynomial:
-    """Integer-coefficient polynomial in canonical ascending-coefficient form."""
-
-    coeffs: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", trim(self.coeffs))
-
-    @property
-    def degree(self):
-        """Degree, with -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    @property
-    def is_monic(self):
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def __call__(self, x):
-        return peval(self.coeffs, x)
-
-    def __add__(self, other):
-        return IntPolynomial(padd(self.coeffs, other.coeffs))
-
-    def __sub__(self, other):
-        return IntPolynomial(psub(self.coeffs, other.coeffs))
-
-    def __mul__(self, other):
-        return IntPolynomial(pmul(self.coeffs, other.coeffs))
-
-    def __str__(self):
-        return pstr(self.coeffs)

@@ -17,7 +17,7 @@ from cospec.graphs import (
     path,
     star,
 )
-from cospec.intlinalg import charpoly, charpoly_coeffs, determinant, snf_diagonal
+from cospec.intlinalg import charpoly_coeffs, determinant, snf_diagonal
 from cospec.invariants import (
     Flavor,
     _charpoly_side,
@@ -43,9 +43,9 @@ SAWTOOTH_B = disjoint_union(cycle(4), complete(1))  # C_4 + K_1
 
 def test_sawtooth_pair_charpoly():
     # the classic cospectral pair on 5 vertices, both x^5 - 4x^3
-    pa = charpoly(build_matrix(SAWTOOTH_A, K.ADJACENCY))
-    pb = charpoly(build_matrix(SAWTOOTH_B, K.ADJACENCY))
-    assert pa.coeffs == pb.coeffs == (0, 0, 0, -4, 0, 1)
+    pa = charpoly_coeffs(build_matrix(SAWTOOTH_A, K.ADJACENCY))
+    pb = charpoly_coeffs(build_matrix(SAWTOOTH_B, K.ADJACENCY))
+    assert pa == pb == (0, 0, 0, -4, 0, 1)
 
 
 def test_fingerprint_relabeling_invariance():

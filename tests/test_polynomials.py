@@ -1,7 +1,6 @@
 from fractions import Fraction
 
 from cospec.polynomials import (
-    IntPolynomial,
     padd,
     peval,
     pgcd,
@@ -67,15 +66,3 @@ def test_pstr():
     assert pstr((5,)) == "5"
     assert pstr((0, -1)) == "-x"
 
-
-def test_int_polynomial_type():
-    p = IntPolynomial((0, 0, 1))
-    q = IntPolynomial((1, 1, 0))  # trailing zero trimmed
-    assert q.coeffs == (1, 1)
-    assert p.degree == 2
-    assert p.is_monic
-    assert (p * q).coeffs == (0, 0, 1, 1)
-    assert (p + q).coeffs == (1, 1, 1)
-    assert (p - p).coeffs == ()
-    assert p(3) == 9
-    assert str(IntPolynomial((-1, 0, 1))) == "x^2 - 1"
