@@ -61,8 +61,9 @@ from .graphs import (
 )
 # cof_coeffs stays a census attribute for tools that patch the block
 # functions here, though the sweep builds the cof block from its charpoly
-from .intlinalg import chain_error, charpoly_coeffs, cof_coeffs, snf_diagonal
-from .invariants import Flavor, _Blocks, _charpoly_side, _snf_side, compose_key, snf_prefix
+from .intlinalg import charpoly_coeffs, cof_coeffs, snf_diagonal
+from .invariants import (Flavor, _Blocks, _charpoly_side, _snf_side, check_snf_chains,
+                         compose_key, snf_prefix)
 from .matrices import MatrixKind, TokenEnum, build_matrix
 
 
@@ -183,7 +184,7 @@ def _line_keys(n, tasks, deferred, item):
     the prefix read off the SNF blocks just computed is checked against the
     first pass's. No BFS runs here but a distance kind's, in build_matrix.
     In either pass each SNF block of a full key must be a divisibility
-    chain, as InvariantFactors requires (intlinalg.chain_error).
+    chain, as InvariantFactors requires (invariants.check_snf_chains).
 
     A CospecError raised for the line names it."""
     lineno, line, indices = item
@@ -224,10 +225,7 @@ def _line_keys(n, tasks, deferred, item):
                             f"task {kind.value}/{task.flavor.value}: invariant factors give "
                             f"prefix {got.decode()}, charpolys gave {prefix.decode()}"
                         )
-                for (op, _), d in zip(task.flavor.components, ints):
-                    error = op == "snf" and chain_error(d)
-                    if error:
-                        raise ConsistencyError(f"task {kind.value}/{task.flavor.value}: {error}")
+                check_snf_chains(kind, task.flavor, ints)
                 keys.append((ti, compose_key(kind, task.flavor, ints)))
         return keys if member is None else (member, keys)
     except CospecError as exc:

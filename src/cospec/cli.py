@@ -16,11 +16,12 @@ naming the first or second graph in an error as the relation does, and
 prints the relation's value as true or false.
 
 Exit codes: 0 success, 1 domain/input errors and unreadable files
-(one-line diagnostic on stderr), among them a --jobs below 1 and a census
---n outside [2, 64]; census and diff-paper name the first bad line of
-their input at any --jobs. 2 usage errors, among them an unknown matrix
-kind, flavor or domain, whose message lists the accepted tokens; a usage
-error prints the usage of its subcommand and names it.
+(one-line diagnostic on stderr), among them a --jobs below 1, a census
+--n outside [2, 64] and a closed form of more than 64 vertices; census and
+diff-paper name the first bad line of their input at any --jobs. 2 usage
+errors, among them an unknown matrix kind, flavor or domain, whose message
+lists the accepted tokens, and an empty --input; a usage error prints the
+usage of its subcommand and names it.
 diff-paper exits 1 when any expected cell mismatches, when --max-n selects
 no cell, when a --graphs N names an n that no selected cell has, when a
 selected n above the bundled generator's bound has no --graphs N and when
@@ -147,6 +148,8 @@ def _cmd_closed_form(args):
 
 
 def _cmd_census(args):
+    if args.input == "":
+        args.usage_error("--input needs a graph6 file, or - for stdin")
     spec = CensusSpec(
         n=args.n,
         domain=args.domain,
@@ -254,7 +257,7 @@ def build_parser():
     )
     p.add_argument("--format", choices=tuple(_CENSUS_FORMATS), default="csv")
     p.add_argument("--jobs", type=int, default=None)
-    p.set_defaults(func=_cmd_census)
+    p.set_defaults(func=_cmd_census, usage_error=p.error)
 
     p = sub.add_parser("diff-paper", help="recompute and diff the published tables")
     p.add_argument("--max-n", type=int, default=8)

@@ -16,7 +16,7 @@ from math import gcd, prod
 from operator import or_
 
 from .errors import ConsistencyError, UnsupportedSizeError
-from .graphs import Graph, check_tree, distance_data
+from .graphs import MAX_VERTICES, Graph, check_tree, distance_data
 from .intlinalg import InvariantFactors, determinant, snf_diagonal
 from .matrices import MatrixKind, build_matrix
 
@@ -68,8 +68,18 @@ def star_snf(leaves):
     k = leaves
     if k < 2:
         raise ValueError(f"star closed form needs at least 2 leaves (got {k})")
+    _check_vertex_count(k + 1)
     w = 2 * k - 1
     return InvariantFactors((1, 1) + (w,) * (k - 2) + (2 * k * (k - 1) * w,))
+
+
+def _check_vertex_count(n):
+    """The size rule of every graph: at most MAX_VERTICES vertices, checked
+    before a closed form allocates its chain."""
+    if n > MAX_VERTICES:
+        raise UnsupportedSizeError(
+            f"closed forms cover graphs of at most {MAX_VERTICES} vertices (got {n})"
+        )
 
 
 def _check_tree_size(t):
@@ -234,6 +244,7 @@ def multipartite_snf(m, s, signless=False):
     regular by construction)."""
     if m < 2 or s < 2:
         raise ValueError(f"need m >= 2 and s >= 2 (got m = {m}, s = {s})")
+    _check_vertex_count(m * s)
     t = m * s + s - 2
     a = gcd(m - 1, 2 * (s - 1))
     both_even = m % 2 == 0 and s % 2 == 0

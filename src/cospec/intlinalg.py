@@ -275,6 +275,8 @@ def determinantal_gcds_Qx(m):
     raises ValueError for a non-symmetric m.
     """
     g = charpoly_coeffs(m)
+    if not m:
+        return ()
     chain = [g]
     for _ in range(len(m) - 1):
         g = pgcd(g, [k * c for k, c in enumerate(g)][1:])

@@ -23,6 +23,8 @@ This module builds every key byte, also the census's snf_prefix keys:
 b"P" and then the same encoding of each SNF side's rank and top
 determinantal divisor, as b"P4,1;4,1" for the adjacency gen-invariant
 prefix of P_4. A full key holds no "P", so it never equals a prefix.
+An SNF block that is not a divisibility chain is a ConsistencyError, in a
+fingerprint as in a census (check_snf_chains).
 """
 
 from __future__ import annotations
@@ -30,9 +32,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from .errors import ConnectivityError, pair_map
+from .errors import ConnectivityError, ConsistencyError, pair_map
 from .graphs import complement, distance_data
-from .intlinalg import charpoly_coeffs, determinantal_gcds_Qx, format_factors, snf_diagonal
+from .intlinalg import (chain_error, charpoly_coeffs, determinantal_gcds_Qx, format_factors,
+                        snf_diagonal)
 from .matrices import MatrixKind, TokenEnum, build_matrix
 from .polynomials import pstr, psub
 
@@ -160,15 +163,28 @@ def _snf_side(d):
     return len(d), len(nonzero), prod(nonzero)
 
 
+def check_snf_chains(kind, flavor, blocks):
+    """Raise ConsistencyError, naming the (kind, flavor) task, when an SNF
+    block of blocks (in flavor.components order) is not a divisibility
+    chain, as InvariantFactors requires (intlinalg.chain_error)."""
+    for (op, _), d in zip(flavor.components, blocks):
+        error = op == "snf" and chain_error(d)
+        if error:
+            raise ConsistencyError(f"task {kind.value}/{flavor.value}: {error}")
+
+
 def fingerprint_blocks(g, kind, flavor):
-    """The component int lists of g's fingerprint, in flavor.components order."""
+    """The component int lists of g's fingerprint, in flavor.components
+    order, each SNF block checked by check_snf_chains."""
     cg = complement(g)
     if flavor.uses_complement and kind.requires_connected and not distance_data(cg).connected:
         raise ConnectivityError(
             f"generalized {kind.value!r} fingerprints need a connected complement"
         )
     blocks = _Blocks((g, cg), build_matrix, charpoly_coeffs, snf_diagonal)
-    return [blocks.block(op, kind, side) for op, side in flavor.components]
+    ints = [blocks.block(op, kind, side) for op, side in flavor.components]
+    check_snf_chains(kind, flavor, ints)
+    return ints
 
 
 def fingerprint(g, kind, flavor):

@@ -100,6 +100,13 @@ def test_closed_form_commands(capsys):
     assert code == 0 and out == "1 1 1 493\n"
 
 
+def test_closed_forms_refuse_more_than_64_vertices(capsys):
+    # one line, exit 1, before any chain is allocated
+    err = "cospec: closed forms cover graphs of at most 64 vertices (got 65)\n"
+    for argv in (["star", "--leaves", "64"], ["multipartite", "-m", "5", "-s", "13"]):
+        assert run_cli(capsys, "closed-form", *argv) == (1, "", err)
+
+
 def test_census_csv_golden(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -239,6 +246,19 @@ def test_usage_errors_name_their_subcommand(capsys):
         assert out == ""
         assert lines[0].startswith(f"usage: cospec {command} [-h]")
         assert lines[-1] == f"cospec {command}: error: {message}"
+
+
+def test_census_empty_input_is_a_usage_error(capsys):
+    # as for the per-graph commands and diff-paper --graphs 5=, not an
+    # unreadable file named ''
+    with pytest.raises(SystemExit) as exc:
+        main(["census", "--n", "5", "--domain", "connected", "--kind", "a",
+              "--flavor", "spectral", "--input", ""])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    assert out == "" and lines[0].startswith("usage: cospec census [-h]")
+    assert lines[-1] == "cospec census: error: --input needs a graph6 file, or - for stdin"
 
 
 def test_bad_tokens_are_usage_errors(capsys):

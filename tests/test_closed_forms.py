@@ -242,6 +242,14 @@ def test_multipartite_examples():
         multipartite_snf(3, 1)
 
 
+def test_closed_forms_cover_at_most_64_vertices():
+    assert len(star_snf(63).d) == 64
+    assert len(multipartite_snf(8, 8).d) == 64
+    for make in (lambda: star_snf(64), lambda: multipartite_snf(5, 13)):
+        with pytest.raises(UnsupportedSizeError, match="at most 64 vertices"):
+            make()
+
+
 def test_multipartite_transmission_regular():
     for m, s in [(2, 2), (3, 2), (2, 4)]:
         g = complete_multipartite(m, s)

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from cospec.errors import ConnectivityError
+from cospec.errors import ConnectivityError, ConsistencyError
 from cospec.graphs import (
     complement,
     complete,
@@ -266,6 +266,35 @@ def test_describe_fingerprint():
     assert "x^3 - 3*x - 2" in text and "cof" in text
     text = describe_fingerprint(complete(2), K.LAPLACIAN, F.GEN_INVARIANT)
     assert "1 0" in text
+
+
+def test_fingerprints_check_that_every_snf_is_a_divisor_chain(monkeypatch):
+    # the census refuses an SNF whose last two nonzero factors 1, 21 become
+    # 3, 7 (rank and product kept); fingerprint, describe_fingerprint and
+    # related refuse it with the same message
+    import cospec.invariants as invariants
+
+    snf = invariants.snf_diagonal
+
+    def snf_diagonal(m):
+        d = list(snf(m))
+        last = max(i for i, v in enumerate(d) if v)
+        if d[last - 1:last + 1] == [1, 21]:
+            d[last - 1:last + 1] = [3, 7]
+        return tuple(d)
+
+    monkeypatch.setattr(invariants, "snf_diagonal", snf_diagonal)
+    g = parse_graph6("E@Vw")
+    message = "task l/invariant: d_4 = 3 does not divide d_5 = 7"
+    for describe in (fingerprint, describe_fingerprint):
+        with pytest.raises(ConsistencyError) as exc:
+            describe(g, K.LAPLACIAN, F.INVARIANT)
+        assert str(exc.value) == message
+    with pytest.raises(ConsistencyError) as exc:
+        related(g, g, K.LAPLACIAN, F.INVARIANT)
+    assert str(exc.value) == "first graph: " + message
+    monkeypatch.undo()
+    assert fingerprint(g, K.LAPLACIAN, F.INVARIANT) == b"1,1,1,1,21,0"
 
 
 def test_r_spectral_fingerprint_reuses_the_charpoly_block(monkeypatch):
