@@ -274,9 +274,9 @@ def determinantal_gcds_Qx(m):
     the primitive Z[x] gcd and `pmonic` the Q[x] one. Like charpoly_coeffs,
     raises ValueError for a non-symmetric m.
     """
-    g = charpoly_coeffs(m)
     if not m:
         return ()
+    g = charpoly_coeffs(m)
     chain = [g]
     for _ in range(len(m) - 1):
         g = pgcd(g, [k * c for k, c in enumerate(g)][1:])

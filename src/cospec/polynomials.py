@@ -132,4 +132,3 @@ def pstr(a):
     for sign, body in parts[1:]:
         text += f" {sign} {body}"
     return text
-

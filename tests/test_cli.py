@@ -98,10 +98,7 @@ def test_closed_form_commands(capsys):
     assert code == 0 and out == "1 1 8 24\n"
     code, out, _ = run_cli(capsys, "closed-form", "tree", "Ch")
     assert code == 0 and out == "1 1 1 493\n"
-
-
-def test_closed_forms_refuse_more_than_64_vertices(capsys):
-    # one line, exit 1, before any chain is allocated
+    # more than 64 vertices: one line, exit 1, before any chain is built
     err = "cospec: closed forms cover graphs of at most 64 vertices (got 65)\n"
     for argv in (["star", "--leaves", "64"], ["multipartite", "-m", "5", "-s", "13"]):
         assert run_cli(capsys, "closed-form", *argv) == (1, "", err)
@@ -234,6 +231,8 @@ def test_usage_errors_name_their_subcommand(capsys):
         (["snf", "--kind", "a", "Bw", "--input", "F"], "snf",
          "give a graph6 literal or --input, not both"),
         (["diff-paper", "--graphs", "5"], "diff-paper", "--graphs expects N=FILE"),
+        (["census", "--n", "5", "--domain", "connected", "--kind", "a", "--flavor",
+          "spectral", "--input", ""], "census", "--input needs a graph6 file, or - for stdin"),
         (["diff-paper", "--graphs", "5=a", "--graphs", "5=b"], "diff-paper",
          "--graphs names n = 5 more than once"),
     ]
@@ -246,19 +245,6 @@ def test_usage_errors_name_their_subcommand(capsys):
         assert out == ""
         assert lines[0].startswith(f"usage: cospec {command} [-h]")
         assert lines[-1] == f"cospec {command}: error: {message}"
-
-
-def test_census_empty_input_is_a_usage_error(capsys):
-    # as for the per-graph commands and diff-paper --graphs 5=, not an
-    # unreadable file named ''
-    with pytest.raises(SystemExit) as exc:
-        main(["census", "--n", "5", "--domain", "connected", "--kind", "a",
-              "--flavor", "spectral", "--input", ""])
-    assert exc.value.code == 2
-    out, err = capsys.readouterr()
-    lines = err.splitlines()
-    assert out == "" and lines[0].startswith("usage: cospec census [-h]")
-    assert lines[-1] == "cospec census: error: --input needs a graph6 file, or - for stdin"
 
 
 def test_bad_tokens_are_usage_errors(capsys):

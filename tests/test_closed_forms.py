@@ -39,6 +39,10 @@ def test_star_snf_values():
     assert star_snf(4).d == (1, 1, 7, 7, 168)
     with pytest.raises(ValueError):
         star_snf(1)
+    # at most 64 vertices, as for every graph
+    assert len(star_snf(63).d) == 64
+    with pytest.raises(UnsupportedSizeError, match="at most 64 vertices"):
+        star_snf(64)
 
 
 def test_star_snf_matches_direct():
@@ -240,14 +244,9 @@ def test_multipartite_examples():
         multipartite_snf(1, 3)
     with pytest.raises(ValueError):
         multipartite_snf(3, 1)
-
-
-def test_closed_forms_cover_at_most_64_vertices():
-    assert len(star_snf(63).d) == 64
     assert len(multipartite_snf(8, 8).d) == 64
-    for make in (lambda: star_snf(64), lambda: multipartite_snf(5, 13)):
-        with pytest.raises(UnsupportedSizeError, match="at most 64 vertices"):
-            make()
+    with pytest.raises(UnsupportedSizeError, match="at most 64 vertices"):
+        multipartite_snf(5, 13)
 
 
 def test_multipartite_transmission_regular():

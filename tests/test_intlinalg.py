@@ -378,16 +378,12 @@ def F(*vals):
 def test_determinantal_gcds_examples():
     a3 = build_matrix(complete(3), MatrixKind.ADJACENCY)
     assert determinantal_gcds_Qx(a3) == (F(1), F(1, 1), F(-2, -3, 0, 1))
-    assert determinantal_gcds_Qx([[0]]) == (F(0, 1),)
-    a2 = build_matrix(complete(2), MatrixKind.ADJACENCY)
-    assert determinantal_gcds_Qx(a2) == (F(1), F(-1, 0, 1))
-
-
-def test_determinantal_gcds_have_one_gcd_per_order():
     # g_k for k = 1..n: none for a 0 x 0 matrix, g_1 = det(xI - m) for 1 x 1
     assert determinantal_gcds_Qx([]) == ()
+    assert determinantal_gcds_Qx([[0]]) == (F(0, 1),)
     assert determinantal_gcds_Qx([[5]]) == (F(-5, 1),)
-    assert charpoly_coeffs([]) == (1,)
+    a2 = build_matrix(complete(2), MatrixKind.ADJACENCY)
+    assert determinantal_gcds_Qx(a2) == (F(1), F(-1, 0, 1))
 
 
 def test_determinantal_gcds_quotient_chain_k3():

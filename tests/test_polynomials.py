@@ -65,4 +65,3 @@ def test_pstr():
     assert pstr(()) == "0"
     assert pstr((5,)) == "5"
     assert pstr((0, -1)) == "-x"
-
