@@ -30,6 +30,16 @@ divisibility chain d_1 | d_2 | ... is a ConsistencyError too. Buckets hold
 counts only, never whole graphs; the marks are dropped when the sweep
 returns.
 
+The first pass also derives some charpoly blocks from others instead of
+computing them from their matrix (invariants._Blocks): side 1's l block
+on every line, and a distance kind's block on a side of diameter <= 2,
+where the matrix is alpha*I + beta*J + sign*B for B = a, l or q
+(matrices.diameter2_form). A block is derivable when the task list
+computes its base blocks anyway, on any domain (_derivable_blocks), so a
+census never computes a block only to derive another. Each derived block
+must pass the charpoly trace identities, or the line fails with a
+ConsistencyError; rows are the same with derivation on and off.
+
 This module builds no key bytes: invariants.compose_key builds the full
 keys and invariants.snf_prefix the prefix keys, with one encoder. A prefix
 starts with "P", which no full key holds, so the two never meet in a
@@ -64,7 +74,7 @@ from .graphs import (
 from .intlinalg import charpoly_coeffs, cof_coeffs, snf_diagonal
 from .invariants import (Flavor, _Blocks, _charpoly_side, _snf_side, check_snf_chains,
                          compose_key, snf_prefix)
-from .matrices import MatrixKind, TokenEnum, build_matrix
+from .matrices import MatrixKind, TokenEnum, build_matrix, diameter2_form
 
 
 class Domain(TokenEnum):
@@ -170,14 +180,45 @@ def _deferred_tasks(tasks):
     return frozenset(out)
 
 
-def _line_keys(n, tasks, deferred, item):
+def _derivable_blocks(tasks):
+    """The (kind, side) charpoly blocks that the first pass derives from
+    other charpoly blocks where an identity applies (invariants._Blocks):
+    those the tasks compute whose base blocks the tasks compute too, on
+    any domain. Side 1's l block derives from side 0's; a distance kind's
+    block of either side derives, on a side of diameter <= 2, from the same
+    side's l block, or from both sides' a or q blocks. Only the task list
+    is read: a block is never derived from base blocks that the line's
+    tasks would not compute otherwise, unless a task of another domain
+    computes them."""
+    lap = MatrixKind.LAPLACIAN
+    computed = {(t.kind, side) for t in tasks for op, side in t.flavor.components
+                if op != "snf"}  # a cof block reads the charpoly block
+    out = set()
+    for kind, side in computed:
+        if kind.requires_connected:
+            base = diameter2_form(kind, 2).base  # the same for every n
+        elif kind is lap and side:
+            base = lap
+        else:
+            continue
+        # both l blocks need side 0's: side 1's is derived from it, and a
+        # task that computes side 1 computes side 0 too
+        needs = {(base, 0)} if base is lap else {(base, 0), (base, 1)}
+        if needs <= computed:
+            out.add((kind, side))
+    return frozenset(out)
+
+
+def _line_keys(n, tasks, deferred, derive, item):
     """The keys of one (lineno, line, indices) item, in either pass.
 
     First pass (indices None): None for a disconnected line, which is
     outside every domain, else the domain membership flags and the
     (task_index, key) pairs of the tasks whose domain holds the graph, the
     key of a deferred task being the snf_prefix read off its charpolys.
-    The complement's BFS runs only for a connected line.
+    The complement's BFS runs only for a connected line. The charpoly
+    blocks in derive are derived where an identity applies
+    (invariants._Blocks).
 
     Second pass (indices the (task_index, prefix) pairs of the deferred
     tasks whose prefixes collided): the (task_index, full key) pairs, after
@@ -207,7 +248,7 @@ def _line_keys(n, tasks, deferred, item):
             indices = [(ti, None) for ti, task in enumerate(tasks) if member[task.domain]]
         # the block functions are read from this module per line, so that
         # patched attributes apply
-        blocks = _Blocks((g, cg), build_matrix, charpoly_coeffs, snf_diagonal)
+        blocks = _Blocks((g, cg), build_matrix, charpoly_coeffs, snf_diagonal, derive)
         keys = []
         for ti, prefix in indices:
             task = tasks[ti]
@@ -304,7 +345,7 @@ def sweep(n, tasks, lines, jobs=None):
     # one line enter the buckets when the first pass ends
     pending = {ti: {} for ti in deferred}
     marked = {}  # line number -> (deferred task index, prefix) pairs to refine
-    work = partial(_line_keys, n, tasks, deferred)
+    work = partial(_line_keys, n, tasks, deferred, _derivable_blocks(tasks))
     with Pool(workers) if workers > 1 else nullcontext() as pool:
         first = ((lineno, line, None) for lineno, line in _data_lines(lines))
         for (lineno, _, _), res in _imap(pool, work, first, chunk_size, window):

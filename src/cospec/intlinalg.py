@@ -66,12 +66,23 @@ def charpoly_coeffs(m):
     b = bitlen((1 + r)^n) + 1: every digit is one coefficient.
 
     The determinant is a fraction-free (Bareiss) elimination without
-    pivoting. The k-th pivot is the leading principal minor
-    (-1)^k p_k(X) != 0, since X > 1 + n*r > sqrt(f) bounds every eigenvalue
-    of every principal submatrix. Diagonal pivots keep each Schur
-    complement symmetric, so only its upper triangle is stored: row t holds
-    the entries from the diagonal rightwards. Each step drops the pivot row
-    and column.
+    pivoting that eliminates two pivots per pass (Bareiss's two-step
+    method, Math. Comp. 22 (1968) 565-578). Let p_k be the k-th leading
+    principal minor of m - X*I; it is (-1)^k times the charpoly of the
+    leading k x k block at X, and nonzero, since X > 1 + n*r > sqrt(f)
+    bounds every eigenvalue of every principal submatrix. After k
+    eliminated pivots the entry (i, j) of the stored Schur complement is
+    the bordered minor a_ij = det of rows 1..k, i and columns 1..k, j.
+    With a, c, d the 2 x 2 pivot block [[a, c], [c, d]] and
+    U_j = d*a_kj - c*a_(k+1)j, V_j = a*a_(k+1)j - c*a_kj, Sylvester's
+    identity makes a_ij*D - a_ki*U_j - a_(k+1)i*V_j, the 3 x 3
+    determinant of bordered minors, equal to p_k^2 times the entry after
+    k + 2 pivots, and D = ad - c^2 equal to p_k * p_(k+2): both divisions
+    are exact, and the next divisor is p_(k+2) = D / p_k. An odd n ends
+    with one row, whose entry is p_n; an even n ends with p_n as the last
+    divisor. Diagonal pivots keep each Schur complement symmetric, so only
+    its upper triangle is stored: row t holds the entries from the
+    diagonal rightwards.
 
     Digits that do not decode to a monic polynomial, or coefficients that
     break c_(n-1) = -tr m or 2 c_(n-2) = tr(m)^2 - f (f = tr m^2 for a
@@ -92,15 +103,21 @@ def charpoly_coeffs(m):
     tri = [[row[i] - x, *row[i + 1 :]] for i, row in enumerate(m)]
     prev = 1
     while len(tri) > 1:
-        piv = tri.pop(0)
-        p = piv.pop(0)
+        a, c, *col0 = tri.pop(0)
+        d, *col1 = tri.pop(0)
+        delta = a * d - c * c
+        u = [d * s - c * t for s, t in zip(col0, col1)]
+        v = [a * t - c * s for s, t in zip(col0, col1)]
+        pp = prev * prev
         for t, row in enumerate(tri):
-            # piv now starts at row t's diagonal column
-            c = piv[0]
-            tri[t] = [(u * p - c * w) // prev for u, w in zip(row, piv)]
-            del piv[0]
-        prev = p
-    det = -tri[0][0] if n & 1 else tri[0][0]
+            # u and v now start at row t's diagonal column
+            s, q = col0[t], col1[t]
+            tri[t] = [(w * delta - s * y - q * z) // pp for w, y, z in zip(row, u, v)]
+            del u[0], v[0]
+        prev = delta // prev
+    det = tri[0][0] if tri else prev
+    if n & 1:
+        det = -det
     mask = x - 1
     half = x >> 1
     coeffs = []
@@ -116,12 +133,24 @@ def charpoly_coeffs(m):
             f"charpoly digits of det(M - 2^{b} I) do not decode to a monic "
             f"degree-{n} polynomial"
         )
-    tr = sum([row[i] for i, row in enumerate(m)])
-    if coeffs[n - 1] != -tr or n > 1 and 2 * coeffs[n - 2] != tr * tr - f:
-        raise ConsistencyError(
-            f"degree-{n} charpoly coefficients do not match the traces of M and M^2"
-        )
-    return tuple(coeffs)
+    coeffs = tuple(coeffs)
+    error = charpoly_trace_error(coeffs, sum([row[i] for i, row in enumerate(m)]), f)
+    if error:
+        raise ConsistencyError(error)
+    return coeffs
+
+
+def charpoly_trace_error(coeffs, tr, f):
+    """Why coeffs (ascending) is not the charpoly of a symmetric n x n
+    matrix M with tr M = tr and ||M||_F^2 = tr M^2 = f, as far as its top
+    coefficients show it: monic of degree n, c_(n-1) = -tr and
+    2 c_(n-2) = tr^2 - f; or None when they agree."""
+    n = len(coeffs) - 1
+    if n < 0 or coeffs[n] != 1:
+        return f"charpoly {coeffs} is not monic"
+    if n and coeffs[n - 1] != -tr or n > 1 and 2 * coeffs[n - 2] != tr * tr - f:
+        return f"degree-{n} charpoly coefficients do not match the traces of M and M^2"
+    return None
 
 
 def cof_coeffs(m):

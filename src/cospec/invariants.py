@@ -24,7 +24,12 @@ b"P" and then the same encoding of each SNF side's rank and top
 determinantal divisor, as b"P4,1;4,1" for the adjacency gen-invariant
 prefix of P_4. A full key holds no "P", so it never equals a prefix.
 An SNF block that is not a divisibility chain is a ConsistencyError, in a
-fingerprint as in a census (check_snf_chains).
+fingerprint as in a census (check_snf_chains), and in cokernel_group.
+
+_Blocks computes every block of a fingerprint from its matrix; a census
+also lets it derive some charpoly blocks from others by exact identities
+(its derive set), which gives the same ints. fingerprint,
+describe_fingerprint and related derive nothing.
 """
 
 from __future__ import annotations
@@ -34,10 +39,11 @@ from math import prod
 
 from .errors import ConnectivityError, ConsistencyError, pair_map
 from .graphs import complement, distance_data
-from .intlinalg import (chain_error, charpoly_coeffs, determinantal_gcds_Qx, format_factors,
-                        snf_diagonal)
-from .matrices import MatrixKind, TokenEnum, build_matrix
-from .polynomials import pstr, psub
+from .intlinalg import (chain_error, charpoly_coeffs, charpoly_trace_error, determinantal_gcds_Qx,
+                        format_factors, snf_diagonal)
+from .matrices import (MatrixKind, TokenEnum, build_matrix, complement_shift, diameter2_form,
+                       matrix_traces)
+from .polynomials import padd, pstr, psub, ptaylor
 
 
 class Flavor(TokenEnum):
@@ -83,36 +89,95 @@ class _Blocks:
     each block computed once per (op, kind, side), so blocks shared by
     several (kind, flavor) keys are computed once. The caller passes the
     matrix, charpoly and SNF functions, and so chooses the names they are
-    called through."""
+    called through.
 
-    __slots__ = ("sides", "build", "charpoly", "snf", "mats", "memo")
+    derive is a set of (kind, side) charpoly blocks that may be derived
+    from other charpoly blocks of the same graph instead of computed from
+    their matrix (a census passes the blocks whose base blocks its tasks
+    compute anyway; by default none is derived):
+      - the l block of side 1 always, from side 0's by the complement
+        identity L(complement) = nI - J - L;
+      - a distance kind's block when its side has diameter <= 2, from the
+        base blocks of matrices.diameter2_form: M = alpha*I + beta*J +
+        sign*B, with det(xI - B + yJ) = p_B(x) + y*c_B(x) (cof_coeffs);
+        c_B = n*p_B/x for B = l, and for B = a or q c_B follows from p_B
+        and the other side's p_B (complement_shift), as in the theorem of
+        C. R. Johnson and M. Newman, J. Combin. Theory Ser. B 28 (1980)
+        96-103.
+    A derived block must be monic with c_(n-1) = -tr M and
+    2 c_(n-2) = tr(M)^2 - ||M||_F^2, the traces read off the degrees and
+    distance data (matrices.matrix_traces); otherwise ConsistencyError."""
 
-    def __init__(self, sides, build, charpoly, snf):
+    __slots__ = ("sides", "build", "charpoly", "snf", "derive", "mats", "memo")
+
+    def __init__(self, sides, build, charpoly, snf, derive=frozenset()):
         self.sides = sides
         self.build = build
         self.charpoly = charpoly
         self.snf = snf
+        self.derive = derive
         self.mats = {}
         self.memo = {}
+
+    def matrix(self, kind, side):
+        m = self.mats.get((kind, side))
+        if m is None:
+            m = self.mats[kind, side] = self.build(self.sides[side], kind)
+        return m
 
     def block(self, op, kind, side):
         key = (op, kind, side)
         ints = self.memo.get(key)
         if ints is None:
-            m = self.mats.get((kind, side))
-            if m is None:
-                m = self.mats[kind, side] = self.build(self.sides[side], kind)
             if op == "snf":
-                ints = self.snf(m)
+                ints = self.snf(self.matrix(kind, side))
             elif op == "charpoly":
-                ints = self.charpoly(m)
+                if (kind, side) in self.derive:
+                    ints = self.derived_charpoly(kind, side)
+                if ints is None:
+                    ints = self.charpoly(self.matrix(kind, side))
             else:
                 # cof_coeffs(m) = charpoly(m - J) - charpoly(m), with the
                 # charpoly of m taken from its own block
-                shifted = [[v - 1 for v in row] for row in m]
+                shifted = [[v - 1 for v in row] for row in self.matrix(kind, side)]
                 ints = psub(self.charpoly(shifted), self.block("charpoly", kind, side))
             self.memo[key] = ints
         return ints
+
+    def derived_charpoly(self, kind, side):
+        """The charpoly block of (kind, side) from other charpoly blocks,
+        or None where no identity applies."""
+        g = self.sides[side]
+        n = g.n
+        if kind is MatrixKind.LAPLACIAN:
+            if not side:
+                return None
+            # p(x) = (-1)^(n-1) x r(n - x), with side 0's p_L = x r
+            p = (0, *ptaylor(self.block("charpoly", kind, 0)[1:], n, -1))
+            if not n & 1:
+                p = tuple(-v for v in p)
+        else:
+            data = distance_data(g)
+            if n < 2 or not data.connected or data.diameter > 2:
+                return None
+            alpha, beta, sign, base = diameter2_form(kind, n)
+            pb = self.block("charpoly", base, side)
+            if base is MatrixKind.LAPLACIAN:
+                cb = tuple(n * v for v in pb[1:])
+            else:
+                # c_B(z) = (-1)^n p_B'(x0 - z) - p_B(z), with B' = x0*I + J - B
+                x0, _ = complement_shift(base, n)
+                cb = ptaylor(self.block("charpoly", base, 1 - side), x0, -1)
+                cb = psub(tuple(-v for v in cb) if n & 1 else cb, pb)
+            # p(x) = sign^n P(sign*(x - alpha)), P = p_B - sign*beta*c_B
+            p = padd(pb, tuple(-sign * beta * v for v in cb)) if beta else pb
+            p = ptaylor(p, -sign * alpha, sign)
+            if sign < 0 and n & 1:
+                p = tuple(-v for v in p)
+        error = charpoly_trace_error(p, *matrix_traces(g, kind))
+        if error:
+            raise ConsistencyError(f"{kind.value} charpoly derived on side {side}: {error}")
+        return p
 
 
 def _encode(blocks):
@@ -238,8 +303,13 @@ class CokernelGroup:
 
 
 def cokernel_group(g, kind):
-    """Torsion/free decomposition of the cokernel, read off the SNF."""
+    """Torsion/free decomposition of the cokernel, read off the SNF; an SNF
+    that is not a divisibility chain is a ConsistencyError, as in a
+    fingerprint (intlinalg.chain_error)."""
     factors = snf_diagonal(build_matrix(g, kind))
+    error = chain_error(factors)
+    if error:
+        raise ConsistencyError(f"cokernel of kind {kind.value}: {error}")
     return CokernelGroup(
         torsion=tuple(d for d in factors if d > 1),
         free_rank=sum(1 for d in factors if d == 0),

@@ -1,5 +1,6 @@
-"""The ten graph matrices, the complement-shift parameters, and the token
-rule of the enums that name kinds, flavors and domains.
+"""The ten graph matrices, the complement-shift parameters, the
+diameter-2 forms of the distance kinds, and the token rule of the enums
+that name kinds, flavors and domains.
 
 Every matrix is materialized densely with exact integer entries. The
 distance-derived kinds require a connected graph; building them for a
@@ -82,16 +83,19 @@ class ShiftParams(NamedTuple):
     y: int
 
 
+def _connected_data(g, kind):
+    data = distance_data(g)
+    if not data.connected:
+        raise ConnectivityError(f"matrix kind {kind.value!r} needs a connected graph")
+    return data
+
+
 def build_matrix(g, kind):
     """Exact integer matrix of the requested kind for g."""
     diagonal, sign, base = _FORMULAS[kind]
     n = g.n
     if kind.requires_connected:
-        data = distance_data(g)
-        if not data.connected:
-            raise ConnectivityError(
-                f"matrix kind {kind.value!r} needs a connected graph"
-            )
+        data = _connected_data(g, kind)
     if diagonal is None:
         diag = (0,) * n
     else:
@@ -118,6 +122,51 @@ def complement_shift(kind, n):
     c = {None: 0, "deg": n - 1, "trs": 3 * (n - 1)}[diagonal]
     k = 1 if base == "adj" else 3
     return ShiftParams(c - sign * k, sign * k)
+
+
+class Diameter2Form(NamedTuple):
+    """(alpha, beta, sign, base) with M = alpha*I + beta*J + sign*B, where B
+    is the base kind's matrix of the same graph; valid when the graph is
+    connected with diameter at most 2."""
+
+    alpha: int
+    beta: int
+    sign: int
+    base: MatrixKind
+
+
+# On a connected graph of diameter <= 2, D = 2(J - I) - A and
+# trs = 2(n - 1) - deg, so each distance kind is alpha*I + beta*J + sign*B
+# with alpha = a + b*n: kind -> (a, b, beta, sign, base)
+_DIAMETER2 = {
+    MatrixKind.DISTANCE: (-2, 0, 2, -1, MatrixKind.ADJACENCY),
+    MatrixKind.DISTANCE_LAPLACIAN: (0, 2, -2, -1, MatrixKind.LAPLACIAN),
+    MatrixKind.SIGNLESS_DISTANCE_LAPLACIAN: (-4, 2, 2, -1, MatrixKind.SIGNLESS_LAPLACIAN),
+    MatrixKind.TRANSMISSION_ADJACENCY: (-2, 2, 0, -1, MatrixKind.SIGNLESS_LAPLACIAN),
+    MatrixKind.SIGNLESS_TRANSMISSION_ADJACENCY: (-2, 2, 0, -1, MatrixKind.LAPLACIAN),
+    MatrixKind.DEGREE_DISTANCE: (2, 0, -2, 1, MatrixKind.SIGNLESS_LAPLACIAN),
+    MatrixKind.SIGNLESS_DEGREE_DISTANCE: (-2, 0, 2, 1, MatrixKind.LAPLACIAN),
+}
+
+
+def diameter2_form(kind, n):
+    """A distance kind's matrix on an n-vertex graph of diameter <= 2 as
+    alpha*I + beta*J + sign*B, B the matrix of kind a, l or q."""
+    a, b, beta, sign, base = _DIAMETER2[kind]
+    return Diameter2Form(a + b * n, beta, sign, base)
+
+
+def matrix_traces(g, kind):
+    """(tr M, ||M||_F^2) of M = build_matrix(g, kind), read off the degrees
+    and the distance data without building M."""
+    diagonal, _, base = _FORMULAS[kind]
+    deg = g.degrees()
+    if kind.requires_connected:
+        data = _connected_data(g, kind)
+    diag = () if diagonal is None else data.trs if diagonal == "trs" else deg
+    # the base has a zero diagonal, and A's entries are 0 or 1
+    off = sum(deg) if base == "adj" else sum([v * v for row in data.dist for v in row])
+    return sum(diag), sum([v * v for v in diag]) + off
 
 
 def apply_shift(m, x, y):

@@ -49,6 +49,20 @@ def peval(a, x):
     return acc
 
 
+def ptaylor(a, c, sign=1):
+    """Coefficients of a(sign*x + c), sign = 1 or -1: the Taylor shift
+    a(x + c) by repeated synthetic division, then x -> -x for sign -1."""
+    out = list(a)
+    n = len(out)
+    if c:
+        for i in range(n - 1):
+            for j in range(n - 2, i - 1, -1):
+                out[j] += c * out[j + 1]
+    if sign < 0:
+        out[1::2] = [-v for v in out[1::2]]
+    return tuple(out)
+
+
 def pcontent(a):
     g = 0
     for c in a:

@@ -205,10 +205,11 @@ def test_sweep_runs_one_bfs_per_side(monkeypatch):
     line_keys = census._line_keys
     reread = []
 
-    def counted(n, tasks, deferred, item):
+    def counted(*args):
+        item = args[-1]
         if item[2] is not None:
             reread.append(item)
-        return line_keys(n, tasks, deferred, item)
+        return line_keys(*args)
 
     monkeypatch.setattr(census, "_line_keys", counted)
     lines = list(connected_graph6_lines(6))
@@ -524,6 +525,75 @@ def test_every_census_is_the_same_at_one_and_two_jobs(monkeypatch):
         for row, want in zip(rows, eager):
             assert (row.domain_size, row.with_mate, len(row.buckets)) == (
                 want.domain_size, want.with_mate, len(want.buckets)), (n, row.task)
+
+
+def test_derivable_blocks_need_base_blocks_the_tasks_compute():
+    # a charpoly block is derived only where the task list computes its
+    # base blocks anyway, on any domain: the full task list derives all 15,
+    # a dl census alone none (it would compute l only to derive dl), and a
+    # d census derives side 0 only when both sides' a blocks are computed
+    import cospec.census as census
+    from cospec.matrices import DISTANCE_KINDS
+
+    every = {(k, s) for k in DISTANCE_KINDS for s in (0, 1)} | {(K.LAPLACIAN, 1)}
+    assert census._derivable_blocks(all_tasks()) == every
+    for flavor in F:
+        assert census._derivable_blocks([CensusTask(K.DISTANCE_LAPLACIAN, flavor,
+                                                    D.CONNECTED_COMPLEMENT)]) == set()
+    d0 = CensusTask(K.DISTANCE, F.SPECTRAL, D.CONNECTED)
+    a0 = CensusTask(K.ADJACENCY, F.R_SPECTRAL, D.CONNECTED)
+    a01 = CensusTask(K.ADJACENCY, F.GEN_SPECTRAL, D.DIAM2_PAIR)
+    assert census._derivable_blocks([d0, a0]) == set()
+    assert census._derivable_blocks([d0, a0, a01]) == {(K.DISTANCE, 0)}
+    assert census._derivable_blocks([a01]) == set()
+    lap = CensusTask(K.LAPLACIAN, F.GEN_SPECTRAL, D.CONNECTED)
+    assert census._derivable_blocks([lap]) == {(K.LAPLACIAN, 1)}
+    assert census._derivable_blocks([lap, CensusTask(K.SIGNLESS_DEGREE_DISTANCE, F.GEN_INVARIANT,
+                                                     D.DIAM2_PAIR)]) == {(K.LAPLACIAN, 1)}
+
+
+def test_derivation_leaves_every_census_byte_identical(monkeypatch):
+    # all 136 tasks at n <= 7 give equal rows, bucket by bucket, with the
+    # derivable charpoly blocks derived and with every block computed from
+    # its matrix
+    import cospec.census as census
+
+    tasks = all_tasks()
+    assert len(tasks) == 136 and len(census._derivable_blocks(tasks)) == 15
+    for n in range(2, 8):
+        lines = connected_graph6_lines(n)
+        derived = sweep(n, tasks, lines, jobs=1)
+        with monkeypatch.context() as patch:
+            patch.setattr(census, "_derivable_blocks", lambda tasks: frozenset())
+            assert sweep(n, tasks, lines, jobs=1) == derived, n
+
+
+def test_a_wrong_base_block_fails_the_derived_block_check(monkeypatch):
+    # an adjacency charpoly whose x^(n-1) coefficient is off by one makes
+    # the d block derived from it break the trace identities; the sweep
+    # names the first line that derives it, the first of the diam-2 domain
+    import cospec.census as census
+    from cospec.graphs import complement, distance_data, parse_graph6
+
+    charpoly = census.charpoly_coeffs
+
+    def charpoly_coeffs(m):
+        c = list(charpoly(m))
+        if all(row[i] == 0 for i, row in enumerate(m)) and {v for row in m for v in row} <= {0, 1}:
+            c[-2] += 1
+        return tuple(c)
+
+    monkeypatch.setattr(census, "charpoly_coeffs", charpoly_coeffs)
+    tasks = [CensusTask(kind, F.GEN_SPECTRAL, D.DIAM2_PAIR)
+             for kind in (K.ADJACENCY, K.DISTANCE)]
+    lines = [">>graph6<<", *connected_graph6_lines(6)]
+    first = next(i for i, line in enumerate(lines[1:], 2) if all(
+        distance_data(h).diameter == 2 for h in (parse_graph6(line), complement(parse_graph6(line)))))
+    for jobs in (1, 2):
+        exc = pytest.raises(ConsistencyError, sweep, 6, tasks, lines, jobs).value
+        assert (str(exc), exc.lineno) == (
+            f"line {first}: d charpoly derived on side 0: degree-6 charpoly coefficients "
+            "do not match the traces of M and M^2", first)
 
 
 def test_shared_blocks_computed_once_per_graph(monkeypatch):

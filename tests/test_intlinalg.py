@@ -195,6 +195,16 @@ def test_charpoly_matches_reference_on_large_entries():
         assert charpoly_coeffs(m) == berkowitz_charpoly(m)
 
 
+def test_charpoly_matches_reference_on_larger_matrices():
+    # the two-pivot passes end with one pivot for odd n; every n from 13
+    # to 20, twice each
+    rng = random.Random(13)
+    for n in [*range(13, 21)] * 2:
+        bound = rng.choice((1, 10, 10**3))
+        m = random_symmetric(rng, n, -bound, bound)
+        assert charpoly_coeffs(m) == berkowitz_charpoly(m)
+
+
 def test_charpoly_rejects_non_symmetric():
     with pytest.raises(ValueError):
         charpoly_coeffs([[0, 1], [0, 0]])

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 
@@ -20,6 +21,7 @@ from cospec.graphs import (
 from cospec.intlinalg import charpoly_coeffs, determinant, snf_diagonal
 from cospec.invariants import (
     Flavor,
+    _Blocks,
     _charpoly_side,
     _snf_side,
     cokernel_group,
@@ -31,7 +33,7 @@ from cospec.invariants import (
     related,
     snf_prefix,
 )
-from cospec.matrices import MatrixKind, build_matrix
+from cospec.matrices import DISTANCE_KINDS, MatrixKind, build_matrix
 from cospec.polynomials import padd, pmul
 
 K = MatrixKind
@@ -326,6 +328,27 @@ def test_cokernel_examples():
     assert got.torsion == (5, 60) and got.free_rank == 0
 
 
+def test_cokernel_group_checks_the_divisor_chain(monkeypatch):
+    # an SNF whose trailing nonzero factors 1, 21 become 3, 7 is refused,
+    # as fingerprint refuses it, instead of giving Z_3 + Z_7 + Z
+    import cospec.invariants as invariants
+
+    g = parse_graph6("E@Vw")
+    assert str(cokernel_group(g, K.LAPLACIAN)) == "Z_21 + Z"
+    snf = invariants.snf_diagonal
+
+    def snf_diagonal(m):
+        d = list(snf(m))
+        last = max(i for i, v in enumerate(d) if v)
+        if d[last - 1:last + 1] == [1, 21]:
+            d[last - 1:last + 1] = [3, 7]
+        return tuple(d)
+
+    monkeypatch.setattr(invariants, "snf_diagonal", snf_diagonal)
+    with pytest.raises(ConsistencyError, match="^cokernel of kind l: d_4 = 3 does not divide d_5 = 7$"):
+        cokernel_group(g, K.LAPLACIAN)
+
+
 def test_codeterminantal_examples():
     assert is_codeterminantal_Qx(path(4), path(4), K.ADJACENCY)
     assert is_codeterminantal_Qx(SAWTOOTH_A, SAWTOOTH_B, K.ADJACENCY)
@@ -393,6 +416,32 @@ def test_kind_group_partitions_diam2(n, count):
         for other in others:
             other_keys = [fingerprint(g, other, F.GEN_SPECTRAL) for g in graphs]
             assert _partitions_equal(base_keys, other_keys)
+
+
+def test_derived_charpoly_blocks_equal_the_kernel():
+    # every charpoly block that a census may derive equals the kernel's
+    # charpoly of its matrix, on every graph with a connected complement
+    # and n <= 8: the seven distance kinds on each side of diameter <= 2,
+    # and side 1's l on every graph; a side of diameter 3 or more derives
+    # nothing
+    derive = frozenset([(k, s) for k in DISTANCE_KINDS for s in (0, 1)] + [(K.LAPLACIAN, 1)])
+    checked = Counter()
+    for n in range(2, 9):
+        for line in connected_graph6_lines(n):
+            g = parse_graph6(line)
+            cg = complement(g)
+            if not distance_data(cg).connected:
+                continue
+            blocks = _Blocks((g, cg), build_matrix, charpoly_coeffs, snf_diagonal, derive)
+            for kind, side in derive:
+                h = blocks.sides[side]
+                got = blocks.derived_charpoly(kind, side)
+                if kind is not K.LAPLACIAN and distance_data(h).diameter > 2:
+                    assert got is None
+                    continue
+                assert got == charpoly_coeffs(build_matrix(h, kind)), (line, kind.value, side)
+                checked[kind] += 1
+    assert checked == {K.LAPLACIAN: 10627, **{kind: 6254 for kind in DISTANCE_KINDS}}
 
 
 def pscale(a, k):

@@ -18,6 +18,8 @@ from cospec.matrices import (
     apply_shift,
     build_matrix,
     complement_shift,
+    diameter2_form,
+    matrix_traces,
 )
 
 K = MatrixKind
@@ -209,6 +211,35 @@ def test_diameter2_identities():
                 for j in range(n):
                     want = (2 * n if i == j else 0) - 2 - lap[i][j]
                     assert dl[i][j] == want
+
+
+def test_diameter2_forms():
+    # on a connected graph of diameter <= 2 each distance kind is
+    # alpha*I + beta*J + sign*B for B = A, L or Q, as diameter2_form gives it
+    for n in (2, 5, 6):
+        for g in generate_connected(n):
+            if distance_data(g).diameter > 2:
+                continue
+            for kind in DISTANCE_KINDS:
+                alpha, beta, sign, base = diameter2_form(kind, n)
+                assert base in (K.ADJACENCY, K.LAPLACIAN, K.SIGNLESS_LAPLACIAN)
+                b = build_matrix(g, base)
+                want = [[(alpha if i == j else 0) + beta + sign * v for j, v in enumerate(row)]
+                        for i, row in enumerate(b)]
+                assert build_matrix(g, kind) == want, (kind, g)
+
+
+def test_matrix_traces():
+    # tr M and ||M||_F^2 without building M, for every kind
+    for g in [*generate_connected(5), complete(1)]:
+        for kind in ALL_KINDS:
+            m = build_matrix(g, kind)
+            want = sum(m[i][i] for i in range(g.n)), sum(v * v for row in m for v in row)
+            assert matrix_traces(g, kind) == want, (kind, g)
+    for kind in DISTANCE_KINDS:
+        with pytest.raises(ConnectivityError):
+            matrix_traces(empty(3), kind)
+    assert matrix_traces(empty(3), K.SIGNLESS_LAPLACIAN) == (0, 0)
 
 
 def test_row_sums():

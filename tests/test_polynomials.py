@@ -10,6 +10,7 @@ from cospec.polynomials import (
     pseudo_rem,
     pstr,
     psub,
+    ptaylor,
     trim,
 )
 
@@ -65,3 +66,16 @@ def test_pstr():
     assert pstr(()) == "0"
     assert pstr((5,)) == "5"
     assert pstr((0, -1)) == "-x"
+
+
+def test_taylor_shift():
+    # ptaylor(a, c, sign) agrees with a(sign*x + c) at many points
+    a = (5, -3, 0, 2, 1)
+    assert ptaylor((0, 1), 3) == (3, 1)
+    assert ptaylor(a, 0) == a and ptaylor(a, 0, -1) == (5, 3, 0, -2, 1)
+    assert ptaylor((), 4, -1) == ()
+    for c in (-7, -1, 2, 10):
+        for sign in (1, -1):
+            shifted = ptaylor(a, c, sign)
+            assert len(shifted) == len(a)
+            assert all(peval(shifted, x) == peval(a, sign * x + c) for x in range(-6, 7))
