@@ -38,7 +38,6 @@ from .graphs import (
     write_graph6,
 )
 from .intlinalg import (
-    InvariantFactors,
     charpoly_coeffs,
     cof_coeffs,
     determinant,

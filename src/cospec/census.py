@@ -225,7 +225,7 @@ def _line_keys(n, tasks, deferred, derive, item):
     the prefix read off the SNF blocks just computed is checked against the
     first pass's. No BFS runs here but a distance kind's, in build_matrix.
     In either pass each SNF block of a full key must be a divisibility
-    chain, as InvariantFactors requires (invariants.check_snf_chains).
+    chain, by the rule of intlinalg.chain_error (invariants.check_snf_chains).
 
     A CospecError raised for the line names it."""
     lineno, line, indices = item

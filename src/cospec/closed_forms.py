@@ -17,7 +17,7 @@ from operator import or_
 
 from .errors import ConsistencyError, UnsupportedSizeError
 from .graphs import MAX_VERTICES, Graph, check_tree, distance_data
-from .intlinalg import InvariantFactors, determinant, snf_diagonal
+from .intlinalg import checked_chain, determinant, snf_diagonal
 from .matrices import MatrixKind, build_matrix
 
 TWO_MATCHING_MAX_N = 12
@@ -70,7 +70,7 @@ def star_snf(leaves):
         raise ValueError(f"star closed form needs at least 2 leaves (got {k})")
     _check_vertex_count(k + 1)
     w = 2 * k - 1
-    return InvariantFactors((1, 1) + (w,) * (k - 2) + (2 * k * (k - 1) * w,))
+    return checked_chain((1, 1) + (w,) * (k - 2) + (2 * k * (k - 1) * w,))
 
 
 def _check_vertex_count(n):
@@ -172,7 +172,7 @@ def tree_snf(t):
     d = [1, 1]
     for prev, cur in zip(deltas, deltas[1:]):
         d.append(cur // prev)
-    return InvariantFactors(tuple(d))
+    return checked_chain(d)
 
 
 def rho(t, U):
@@ -267,4 +267,4 @@ def multipartite_snf(m, s, signless=False):
     chain = (1,) * (m - 1) + (a,) + (t,) * (m * s - 2 * m) + (middle,) + (block,) * (
         m - 2
     ) + (last,)
-    return InvariantFactors(chain)
+    return checked_chain(chain)

@@ -4,17 +4,17 @@ gcds of xI - M over Q[x], read off the characteristic polynomial.
 
 Matrices are plain square lists of lists of Python ints (arbitrary
 precision). Everything here is division-free or fraction-free; no floating
-point is used anywhere.
+point is used anywhere. Results are plain int tuples: a polynomial is its
+ascending coefficient tuple, a Smith normal form its invariant factors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import isqrt, prod
+from math import isqrt
 from operator import ne
 
 from .errors import ConsistencyError
-from .polynomials import pgcd, pmonic, psub
+from .polynomials import pgcd, psub
 
 
 def identity_matrix(n):
@@ -161,34 +161,6 @@ def cof_coeffs(m):
     return psub(charpoly_coeffs(shifted), charpoly_coeffs(m))
 
 
-@dataclass(frozen=True)
-class InvariantFactors:
-    """SNF diagonal d_1 | d_2 | ... | d_n, nonnegative, zeros trailing."""
-
-    d: tuple
-
-    def __post_init__(self):
-        d = tuple(self.d)
-        object.__setattr__(self, "d", d)
-        error = chain_error(d)
-        if error:
-            raise ValueError(error)
-
-    @property
-    def rank(self):
-        return sum(1 for v in self.d if v)
-
-    @property
-    def nonzero_product(self):
-        return prod(v for v in self.d if v)
-
-    def __iter__(self):
-        return iter(self.d)
-
-    def __str__(self):
-        return format_factors(self.d)
-
-
 def chain_error(d):
     """Why d is not an SNF diagonal d_1 | d_2 | ..., nonnegative with its
     zeros trailing, or None when it is one."""
@@ -202,6 +174,16 @@ def chain_error(d):
             return f"d_{i} = {prev} does not divide d_{i + 1} = {v}"
         prev = v
     return None
+
+
+def checked_chain(d):
+    """d as a tuple, when it is an SNF diagonal (chain_error); a broken
+    chain is a ConsistencyError, a fault of the code that computed it."""
+    d = tuple(d)
+    error = chain_error(d)
+    if error:
+        raise ConsistencyError(error)
+    return d
 
 
 def format_factors(factors):
@@ -282,17 +264,18 @@ def snf_diagonal(m):
 
 
 def smith_normal_form(m):
-    """Smith normal form of a square integer matrix, as its invariant
-    factors."""
+    """Smith normal form of a square integer matrix, as the tuple of its
+    invariant factors, checked by checked_chain; a non-square m is a
+    ValueError."""
     if any(len(row) != len(m) for row in m):
         raise ValueError("smith_normal_form needs a square matrix")
-    return InvariantFactors(snf_diagonal(m))
+    return checked_chain(snf_diagonal(m))
 
 
 def determinantal_gcds_Qx(m):
     """For k = 1..n, the monic gcd g_k over Q[x] of all k x k minors of
-    xI - m, for a symmetric integer m, as a tuple of n coefficient tuples
-    of Fraction, each ascending and monic.
+    xI - m, for a symmetric integer m, as a tuple of n ascending int
+    coefficient tuples, each monic.
 
     The chain is read off the characteristic polynomial: g_n = det(xI - m)
     and g_(k-1) = gcd(g_k, g_k') for k = n .. 2. This is exact because a
@@ -300,8 +283,11 @@ def determinantal_gcds_Qx(m):
     over Q[x] is squarefree, and f_1 | f_2 | ... | f_n. Then
     g_k = f_1 ... f_k has f_k as its squarefree part, and over a field of
     characteristic 0, g_(k-1) = g_k / f_k = gcd(g_k, g_k'). `pgcd` gives
-    the primitive Z[x] gcd and `pmonic` the Q[x] one. Like charpoly_coeffs,
-    raises ValueError for a non-symmetric m.
+    the primitive Z[x] gcd, with a positive leading coefficient, and it is
+    the monic Q[x] one: each g_k divides the monic integer charpoly, and by
+    Gauss's lemma a monic divisor in Q[x] of a monic integer polynomial has
+    integer coefficients. A g_k that is not monic is a ConsistencyError.
+    Like charpoly_coeffs, raises ValueError for a non-symmetric m.
     """
     if not m:
         return ()
@@ -309,5 +295,7 @@ def determinantal_gcds_Qx(m):
     chain = [g]
     for _ in range(len(m) - 1):
         g = pgcd(g, [k * c for k, c in enumerate(g)][1:])
+        if g[-1] != 1:
+            raise ConsistencyError(f"Q[x] determinantal gcd {g} is not monic")
         chain.append(g)
-    return tuple(map(pmonic, reversed(chain)))
+    return tuple(reversed(chain))

@@ -231,7 +231,7 @@ def _snf_side(d):
 def check_snf_chains(kind, flavor, blocks):
     """Raise ConsistencyError, naming the (kind, flavor) task, when an SNF
     block of blocks (in flavor.components order) is not a divisibility
-    chain, as InvariantFactors requires (intlinalg.chain_error)."""
+    chain, as smith_normal_form requires (intlinalg.chain_error)."""
     for (op, _), d in zip(flavor.components, blocks):
         error = op == "snf" and chain_error(d)
         if error:

@@ -1,14 +1,13 @@
-"""Exact univariate polynomial arithmetic over the integers and rationals.
+"""Exact univariate polynomial arithmetic over the integers.
 
 Coefficient tuples are ascending (index = degree) with no trailing zeros;
-the zero polynomial is the empty tuple. Charpolys and cofactor
-polynomials are such tuples everywhere, also in the public API and the
-CLI; pstr renders one.
+the zero polynomial is the empty tuple. Charpolys, cofactor polynomials
+and Q[x] determinantal gcds are such int tuples everywhere, also in the
+public API and the CLI; pstr renders one.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 
@@ -111,15 +110,6 @@ def pgcd(a, b):
     while b:
         a, b = b, pprimitive(pseudo_rem(a, b))
     return a
-
-
-def pmonic(a):
-    """Monic image over Q[x] as a tuple of Fractions; () stays ()."""
-    a = trim(a)
-    if not a:
-        return ()
-    lead = a[-1]
-    return tuple(Fraction(c, lead) for c in a)
 
 
 def pstr(a):

@@ -4,9 +4,10 @@ and the raw-minor enumeration of the Q[x] determinantal gcds that the
 library used before its faster kernels. The production kernels in
 cospec.intlinalg must give identical results."""
 
+from fractions import Fraction
 from itertools import combinations
 
-from cospec.polynomials import padd, pgcd, pmonic, pmul, pprimitive, psub, trim
+from cospec.polynomials import padd, pgcd, pmul, pprimitive, psub, trim
 
 
 def berkowitz_charpoly(m):
@@ -195,4 +196,4 @@ def reference_determinantal_gcds(m):
                 nxt[(rows, cols)] = acc
         cur = nxt
         gs.append(_gcd_of_polys(cur.values()))
-    return tuple(pmonic(g) for g in gs)
+    return tuple(tuple(Fraction(c, g[-1]) for c in g) for g in gs)

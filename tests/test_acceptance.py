@@ -160,13 +160,13 @@ def test_criterion_03_diam2_n9_external():
 def test_criterion_04_star_closed_form():
     failures = []
     for k in range(2, 31):
-        want = star_snf(k).d
+        want = star_snf(k)
         g = star(k)
         for kind in (K.TRANSMISSION_ADJACENCY, K.SIGNLESS_TRANSMISSION_ADJACENCY):
-            got = smith_normal_form(build_matrix(g, kind)).d
+            got = smith_normal_form(build_matrix(g, kind))
             if got != want:
                 failures.append((k, kind.value, got))
-    ok = not failures and star_snf(3).d == (1, 1, 5, 60)
+    ok = not failures and star_snf(3) == (1, 1, 5, 60)
     report(4, ok, f"star chains k=2..30 match direct SNF both kinds {failures or ''}")
 
 
@@ -191,7 +191,7 @@ def test_criterion_05_star_determination(monkeypatch):
             if (paper.with_mate, len(paper.buckets)) != (res.with_mate, len(res.buckets)):
                 failures.append((n, kind.value, "paper sweep differs"))
             key = fingerprint(star(n - 1), kind, F.INVARIANT)
-            if key != compose_key(kind, F.INVARIANT, [star_snf(n - 1).d]):
+            if key != compose_key(kind, F.INVARIANT, [star_snf(n - 1)]):
                 failures.append((n, kind.value, "star key is not the closed form"))
                 continue
             count = res.buckets.get(key, 0)
@@ -207,7 +207,7 @@ def test_criterion_06_tree_theorem():
     for n in range(3, 10):
         for t in generate_trees(n):
             td = TreeData.from_graph(t)
-            chain = tree_snf(td).d
+            chain = tree_snf(td)
             direct = snf_diagonal(build_matrix(t, K.TRANSMISSION_ADJACENCY))
             direct_plus = snf_diagonal(
                 build_matrix(t, K.SIGNLESS_TRANSMISSION_ADJACENCY)
@@ -233,11 +233,11 @@ def test_criterion_07_multipartite_sweep():
                 (True, K.SIGNLESS_TRANSMISSION_ADJACENCY),
             ):
                 cases += 1
-                formula = multipartite_snf(m, s, signless).d
+                formula = multipartite_snf(m, s, signless)
                 direct = snf_diagonal(build_matrix(g, kind))
                 if formula != direct:
                     failures.append((m, s, signless))
-    chain22 = multipartite_snf(2, 2).d
+    chain22 = multipartite_snf(2, 2)
     ok = not failures and chain22 == (1, 1, 8, 24) and prod(chain22) == 192
     report(7, ok, f"multipartite formula = direct SNF for {cases} (m,s,±) cases, "
                   f"(2,2) chain (1,1,8,24) {failures or ''}")
@@ -355,14 +355,14 @@ def test_criterion_09_codeterminantal():
 
 def test_criterion_10_anchors():
     butterfly = from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (3, 4)])
-    k5 = smith_normal_form(build_matrix(complete(5), K.ADJACENCY)).d
-    bf = smith_normal_form(build_matrix(butterfly, K.ADJACENCY)).d
+    k5 = smith_normal_form(build_matrix(complete(5), K.ADJACENCY))
+    bf = smith_normal_form(build_matrix(butterfly, K.ADJACENCY))
     g1 = from_edges(7, [(5, 6), (0, 3), (1, 3), (2, 3), (2, 4), (1, 4), (0, 4),
                         (1, 6), (2, 6), (0, 5), (1, 5), (2, 5), (0, 6)])
     g2 = from_edges(7, [(0, 4), (0, 3), (0, 1), (0, 2), (3, 5), (4, 5), (1, 6),
                         (2, 6), (1, 3), (1, 2), (1, 4), (2, 3), (2, 4), (3, 4)])
-    s1 = smith_normal_form(build_matrix(g1, K.LAPLACIAN)).d
-    s2 = smith_normal_form(build_matrix(g2, K.LAPLACIAN)).d
+    s1 = smith_normal_form(build_matrix(g1, K.LAPLACIAN))
+    s2 = smith_normal_form(build_matrix(g2, K.LAPLACIAN))
     ok = (
         k5 == bf == (1, 1, 1, 1, 4)
         and s1 == s2 == (1, 1, 1, 1, 12, 60, 0)

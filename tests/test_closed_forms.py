@@ -34,13 +34,13 @@ K = MatrixKind
 
 
 def test_star_snf_values():
-    assert star_snf(3).d == (1, 1, 5, 60)
-    assert star_snf(2).d == (1, 1, 12)
-    assert star_snf(4).d == (1, 1, 7, 7, 168)
+    assert star_snf(3) == (1, 1, 5, 60)
+    assert star_snf(2) == (1, 1, 12)
+    assert star_snf(4) == (1, 1, 7, 7, 168)
     with pytest.raises(ValueError):
         star_snf(1)
     # at most 64 vertices, as for every graph
-    assert len(star_snf(63).d) == 64
+    assert len(star_snf(63)) == 64
     with pytest.raises(UnsupportedSizeError, match="at most 64 vertices"):
         star_snf(64)
 
@@ -49,7 +49,7 @@ def test_star_snf_matches_direct():
     for k in range(2, 8):
         g = star(k)
         for kind in (K.TRANSMISSION_ADJACENCY, K.SIGNLESS_TRANSMISSION_ADJACENCY):
-            assert smith_normal_form(build_matrix(g, kind)).d == star_snf(k).d
+            assert smith_normal_form(build_matrix(g, kind)) == star_snf(k)
 
 
 def test_tree_data_validation():
@@ -104,9 +104,9 @@ def test_minimal_two_matchings_examples():
 
 
 def test_tree_snf_examples():
-    assert tree_snf(TreeData.from_graph(star(3))).d == (1, 1, 5, 60)
-    assert tree_snf(TreeData.from_graph(path(3))).d == (1, 1, 12)
-    assert tree_snf(TreeData.from_graph(path(4))).d == (1, 1, 1, 493)
+    assert tree_snf(TreeData.from_graph(star(3))) == (1, 1, 5, 60)
+    assert tree_snf(TreeData.from_graph(path(3))) == (1, 1, 12)
+    assert tree_snf(TreeData.from_graph(path(4))) == (1, 1, 1, 493)
     with pytest.raises(ValueError):
         tree_snf(TreeData.from_graph(path(2)))
 
@@ -117,19 +117,19 @@ def test_tree_snf_count_minimal_counterexample():
     chair = from_edges(5, [(0, 1), (0, 2), (0, 4), (1, 3)])
     td = TreeData.from_graph(chair)
     direct = smith_normal_form(build_matrix(chair, K.TRANSMISSION_ADJACENCY))
-    assert direct.d == (1, 1, 1, 1, 15536)
-    assert tree_snf(td).d == direct.d
+    assert direct == (1, 1, 1, 1, 15536)
+    assert tree_snf(td) == direct
 
 
 def test_tree_theorem_small():
     for n in range(3, 8):
         for t in generate_trees(n):
             td = TreeData.from_graph(t)
-            chain = tree_snf(td).d
-            assert chain == smith_normal_form(build_matrix(t, K.TRANSMISSION_ADJACENCY)).d
+            chain = tree_snf(td)
+            assert chain == smith_normal_form(build_matrix(t, K.TRANSMISSION_ADJACENCY))
             assert chain == smith_normal_form(
                 build_matrix(t, K.SIGNLESS_TRANSMISSION_ADJACENCY)
-            ).d
+            )
 
 
 def test_rho_examples():
@@ -228,25 +228,41 @@ def test_apex_identity():
 
 
 def test_multipartite_examples():
-    assert multipartite_snf(2, 2).d == (1, 1, 8, 24)
+    assert multipartite_snf(2, 2) == (1, 1, 8, 24)
     import math
-    assert math.prod(multipartite_snf(2, 2).d) == 192
+    assert math.prod(multipartite_snf(2, 2)) == 192
     # oracle checks for the two spec examples
     g32 = complete_multipartite(3, 2)
-    assert multipartite_snf(3, 2).d == smith_normal_form(
+    assert multipartite_snf(3, 2) == smith_normal_form(
         build_matrix(g32, K.TRANSMISSION_ADJACENCY)
-    ).d
+    )
     g23 = complete_multipartite(2, 3)
-    assert multipartite_snf(2, 3, signless=True).d == smith_normal_form(
+    assert multipartite_snf(2, 3, signless=True) == smith_normal_form(
         build_matrix(g23, K.SIGNLESS_TRANSMISSION_ADJACENCY)
-    ).d
+    )
     with pytest.raises(ValueError):
         multipartite_snf(1, 3)
     with pytest.raises(ValueError):
         multipartite_snf(3, 1)
-    assert len(multipartite_snf(8, 8).d) == 64
+    assert len(multipartite_snf(8, 8)) == 64
     with pytest.raises(UnsupportedSizeError, match="at most 64 vertices"):
         multipartite_snf(5, 13)
+
+
+def test_closed_forms_refuse_a_broken_chain(monkeypatch):
+    # a fault in a closed form that breaks the divisor chain is a
+    # ConsistencyError, as in smith_normal_form; the star's chain holds by
+    # its formula and goes through the same check
+    import cospec.closed_forms as closed_forms
+
+    assert all(type(v) is int for v in star_snf(3) + tree_snf(TreeData.from_graph(star(3))))
+    monkeypatch.setattr(closed_forms, "gcd", lambda a, b: 4)
+    with pytest.raises(ConsistencyError, match="^d_3 = 4 does not divide d_4 = 6$"):
+        multipartite_snf(3, 2)
+    monkeypatch.undo()
+    monkeypatch.setattr(closed_forms, "_principal_minor", lambda m, subset: 6)
+    with pytest.raises(ConsistencyError, match="^d_3 = 6 does not divide d_4 = 1$"):
+        tree_snf(TreeData.from_graph(star(3)))
 
 
 def test_multipartite_transmission_regular():

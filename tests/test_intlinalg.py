@@ -6,6 +6,7 @@ from math import gcd, prod
 import pytest
 
 import cospec.intlinalg
+from cospec import invariants
 from cospec.cli import main
 from cospec.errors import ConsistencyError
 from cospec.graphs import (
@@ -21,8 +22,8 @@ from cospec.graphs import (
     write_graph6,
 )
 from cospec.intlinalg import (
-    InvariantFactors,
     charpoly_coeffs,
+    checked_chain,
     cof_coeffs,
     determinant,
     determinantal_gcds_Qx,
@@ -225,7 +226,7 @@ def test_determinant_and_snf_reject_non_square():
         for fn in (charpoly_coeffs, cof_coeffs, determinantal_gcds_Qx):
             with pytest.raises(ValueError, match="square"):
                 fn(m)
-    assert determinant([]) == 1 and tuple(smith_normal_form([])) == ()
+    assert determinant([]) == 1 and smith_normal_form([]) == ()
     assert charpoly_coeffs([]) == (1,)
 
 
@@ -257,7 +258,7 @@ def test_kernels_against_sympy():
         want = sympy.Poly(sympy.Matrix(m).charpoly(x).as_expr(), x).all_coeffs()
         assert charpoly_coeffs(m) == tuple(int(c) for c in reversed(want))
         d = sympy_snf(sympy.Matrix(m), domain=sympy.ZZ)
-        got = InvariantFactors(snf_diagonal(m)).d  # validates the divisor chain
+        got = checked_chain(snf_diagonal(m))  # validates the divisor chain
         assert sorted(got) == sorted(abs(int(d[i, i])) for i in range(n))
 
 
@@ -267,10 +268,10 @@ def test_kernels_against_sympy():
 
 def test_snf_examples():
     butterfly = from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (3, 4)])
-    assert smith_normal_form(build_matrix(complete(5), MatrixKind.ADJACENCY)).d == (1, 1, 1, 1, 4)
-    assert smith_normal_form(build_matrix(butterfly, MatrixKind.ADJACENCY)).d == (1, 1, 1, 1, 4)
-    assert smith_normal_form(build_matrix(complete(2), MatrixKind.LAPLACIAN)).d == (1, 0)
-    assert smith_normal_form(ATRS_K13).d == (1, 1, 5, 60)
+    assert smith_normal_form(build_matrix(complete(5), MatrixKind.ADJACENCY)) == (1, 1, 1, 1, 4)
+    assert smith_normal_form(build_matrix(butterfly, MatrixKind.ADJACENCY)) == (1, 1, 1, 1, 4)
+    assert smith_normal_form(build_matrix(complete(2), MatrixKind.LAPLACIAN)) == (1, 0)
+    assert smith_normal_form(ATRS_K13) == (1, 1, 5, 60)
 
 
 def gcd_of_minors_snf(m):
@@ -299,15 +300,14 @@ def test_snf_against_minor_oracle():
     for _ in range(50):
         n = rng.randint(1, 6)
         m = random_symmetric(rng, n, -5, 5)
-        assert smith_normal_form(m).d == gcd_of_minors_snf(m)
+        assert smith_normal_form(m) == gcd_of_minors_snf(m)
 
 
 def test_snf_singular_and_rank():
     m = [[2, 4], [4, 8]]
-    assert smith_normal_form(m).d == (2, 0)
-    assert smith_normal_form([[0, 0], [0, 0]]).d == (0, 0)
-    f = smith_normal_form(ATRS_K13)
-    assert f.rank == 4 and f.nonzero_product == 300
+    assert smith_normal_form(m) == (2, 0)
+    assert smith_normal_form([[0, 0], [0, 0]]) == (0, 0)
+    assert invariants._snf_side(smith_normal_form(ATRS_K13)) == (4, 4, 300)
 
 
 def test_snf_product_rule():
@@ -317,16 +317,39 @@ def test_snf_product_rule():
         m = random_symmetric(rng, n)
         det = determinant(m)
         if det:
-            assert prod(v for v in smith_normal_form(m).d if v) == abs(det)
+            assert prod(v for v in smith_normal_form(m) if v) == abs(det)
 
 
 def test_invariant_factors_validation():
-    with pytest.raises(ValueError):
-        InvariantFactors((2, 3))
-    with pytest.raises(ValueError):
-        InvariantFactors((1, 0, 2))
-    with pytest.raises(ValueError):
-        InvariantFactors((-1,))
+    for bad, message in (((2, 3), "d_1 = 2 does not divide d_2 = 3"),
+                         ((1, 0, 2), "zero invariant factors must form a trailing block"),
+                         ((-1,), "invariant factor d_1 = -1 is negative")):
+        with pytest.raises(ConsistencyError) as exc:
+            checked_chain(bad)
+        assert str(exc.value) == message
+    assert checked_chain([1, 2, 0]) == (1, 2, 0)
+
+
+def test_a_broken_snf_chain_is_a_consistency_error(monkeypatch, capsys):
+    # an SNF whose trailing nonzero factors 1, 21 become 3, 7 (rank and
+    # product kept) is a fault of the kernel, not of the input
+    snf = cospec.intlinalg.snf_diagonal
+
+    def snf_diagonal(m):
+        d = list(snf(m))
+        last = max(i for i, v in enumerate(d) if v)
+        if d[last - 1:last + 1] == [1, 21]:
+            d[last - 1:last + 1] = [3, 7]
+        return tuple(d)
+
+    m = build_matrix(parse_graph6("E@Vw"), MatrixKind.LAPLACIAN)
+    assert smith_normal_form(m) == (1, 1, 1, 1, 21, 0)
+    monkeypatch.setattr(cospec.intlinalg, "snf_diagonal", snf_diagonal)
+    with pytest.raises(ConsistencyError) as exc:
+        smith_normal_form(m)
+    assert str(exc.value) == "d_4 = 3 does not divide d_5 = 7"
+    assert main(["snf", "--kind", "l", "E@Vw"]) == 1
+    assert capsys.readouterr() == ("", "cospec: d_4 = 3 does not divide d_5 = 7\n")
 
 
 # ---------------------------------------------------------------------------
@@ -381,32 +404,28 @@ def test_cof_degree_bound():
 # determinantal gcds over Q[x]
 
 
-def F(*vals):
-    return tuple(Fraction(v) for v in vals)
-
-
 def test_determinantal_gcds_examples():
     a3 = build_matrix(complete(3), MatrixKind.ADJACENCY)
-    assert determinantal_gcds_Qx(a3) == (F(1), F(1, 1), F(-2, -3, 0, 1))
+    assert determinantal_gcds_Qx(a3) == ((1,), (1, 1), (-2, -3, 0, 1))
     # g_k for k = 1..n: none for a 0 x 0 matrix, g_1 = det(xI - m) for 1 x 1
     assert determinantal_gcds_Qx([]) == ()
-    assert determinantal_gcds_Qx([[0]]) == (F(0, 1),)
-    assert determinantal_gcds_Qx([[5]]) == (F(-5, 1),)
+    assert determinantal_gcds_Qx([[0]]) == ((0, 1),)
+    assert determinantal_gcds_Qx([[5]]) == ((-5, 1),)
     a2 = build_matrix(complete(2), MatrixKind.ADJACENCY)
-    assert determinantal_gcds_Qx(a2) == (F(1), F(-1, 0, 1))
+    assert determinantal_gcds_Qx(a2) == ((1,), (-1, 0, 1))
 
 
 def test_determinantal_gcds_quotient_chain_k3():
     a3 = build_matrix(complete(3), MatrixKind.ADJACENCY)
     g = determinantal_gcds_Qx(a3)
     # quotients 1, x+1, (x+1)(x-2)
-    assert g[1] == F(1, 1)
+    assert g[1] == (1, 1)
     q3_num = g[2]
-    assert q3_num == F(-2, -3, 0, 1)  # (x+1)^2 (x-2)
+    assert q3_num == (-2, -3, 0, 1)  # (x+1)^2 (x-2)
 
 
 def _poly_divides(a, b):
-    """a | b over Q[x] for Fraction coefficient tuples."""
+    """a | b over Q[x] for int or Fraction coefficient tuples."""
     if not a:
         return not b
     b = list(b)
@@ -416,7 +435,7 @@ def _poly_divides(a, b):
             b.pop()
         if len(b) - 1 < da:
             break
-        q = b[-1] / la
+        q = Fraction(b[-1], la)
         shift = len(b) - 1 - da
         for i in range(da + 1):
             b[shift + i] -= q * a[i]
@@ -424,17 +443,23 @@ def _poly_divides(a, b):
     return not any(b)
 
 
-def test_determinantal_gcds_properties():
+def test_determinantal_gcds_properties(monkeypatch):
     rng = random.Random(8)
     for _ in range(10):
         n = rng.randint(1, 5)
         m = random_symmetric(rng, n, -3, 3)
         divisors = determinantal_gcds_Qx(m)
-        p = charpoly_coeffs(m)
-        assert divisors[-1] == tuple(Fraction(c) for c in p)
+        assert divisors[-1] == charpoly_coeffs(m)
+        for g in divisors:
+            assert g[-1] == 1 and all(type(v) is int for v in g), g
         for a, b in zip(divisors, divisors[1:]):
             if a and b:
                 assert _poly_divides(a, b)
+    # a gcd that is not monic is a fault of the kernel, not normalised away
+    pgcd = cospec.intlinalg.pgcd
+    monkeypatch.setattr(cospec.intlinalg, "pgcd", lambda a, b: tuple(2 * c for c in pgcd(a, b)))
+    with pytest.raises(ConsistencyError, match=r"^Q\[x\] determinantal gcd \(2, 2\) is not monic$"):
+        determinantal_gcds_Qx(build_matrix(complete(3), MatrixKind.ADJACENCY))
 
 
 def test_determinantal_gcds_have_no_size_bound(capsys):

@@ -1,10 +1,7 @@
-from fractions import Fraction
-
 from cospec.polynomials import (
     padd,
     peval,
     pgcd,
-    pmonic,
     pmul,
     pprimitive,
     pseudo_rem,
@@ -53,11 +50,6 @@ def test_pgcd():
 def test_pprimitive_sign():
     assert pprimitive((2, -4)) == (-1, 2)
     assert pprimitive((-2, -4)) == (1, 2)
-
-
-def test_pmonic():
-    assert pmonic((2, 4)) == (Fraction(1, 2), Fraction(1))
-    assert pmonic(()) == ()
 
 
 def test_pstr():
