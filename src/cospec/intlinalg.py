@@ -202,9 +202,12 @@ def snf_diagonal(m):
     nonzero remainder to pivot, until it clears its column and row and
     divides every remaining entry. A unit pivot divides everything, so
     clearing its column ends the stage: the column operations that would
-    clear its row change only the pivot row, which is dropped.
+    clear its row change only the pivot row, which is dropped. A
+    non-square m is a ValueError.
     """
     n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("snf_diagonal needs a square matrix")
     rows = [list(row) for row in m]
     out = []
     while rows:
@@ -266,9 +269,7 @@ def snf_diagonal(m):
 def smith_normal_form(m):
     """Smith normal form of a square integer matrix, as the tuple of its
     invariant factors, checked by checked_chain; a non-square m is a
-    ValueError."""
-    if any(len(row) != len(m) for row in m):
-        raise ValueError("smith_normal_form needs a square matrix")
+    ValueError (snf_diagonal)."""
     return checked_chain(snf_diagonal(m))
 
 

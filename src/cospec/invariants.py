@@ -26,10 +26,11 @@ prefix of P_4. A full key holds no "P", so it never equals a prefix.
 An SNF block that is not a divisibility chain is a ConsistencyError, in a
 fingerprint as in a census (check_snf_chains), and in cokernel_group.
 
-_Blocks computes every block of a fingerprint from its matrix; a census
-also lets it derive some charpoly blocks from others by exact identities
-(its derive set), which gives the same ints. fingerprint,
-describe_fingerprint and related derive nothing.
+_Blocks computes every block of a fingerprint, in a census as in
+fingerprint, describe_fingerprint and related. It derives a charpoly
+block from other charpoly blocks by an exact identity, which gives the
+same ints, exactly when the base blocks that the identity reads are
+already computed; every other block is computed from its matrix.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ from .errors import ConnectivityError, ConsistencyError, pair_map
 from .graphs import complement, distance_data
 from .intlinalg import (chain_error, charpoly_coeffs, charpoly_trace_error, determinantal_gcds_Qx,
                         format_factors, snf_diagonal)
-from .matrices import (MatrixKind, TokenEnum, build_matrix, complement_shift, diameter2_form,
-                       matrix_traces)
+from .matrices import (DISTANCE_KINDS, MatrixKind, TokenEnum, build_matrix, complement_shift,
+                       diameter2_form, matrix_traces)
 from .polynomials import padd, pstr, psub, ptaylor
 
 
@@ -91,31 +92,31 @@ class _Blocks:
     matrix, charpoly and SNF functions, and so chooses the names they are
     called through.
 
-    derive is a set of (kind, side) charpoly blocks that may be derived
-    from other charpoly blocks of the same graph instead of computed from
-    their matrix (a census passes the blocks whose base blocks its tasks
-    compute anyway; by default none is derived):
-      - the l block of side 1 always, from side 0's by the complement
-        identity L(complement) = nI - J - L;
-      - a distance kind's block when its side has diameter <= 2, from the
-        base blocks of matrices.diameter2_form: M = alpha*I + beta*J +
-        sign*B, with det(xI - B + yJ) = p_B(x) + y*c_B(x) (cof_coeffs);
-        c_B = n*p_B/x for B = l, and for B = a or q c_B follows from p_B
-        and the other side's p_B (complement_shift), as in the theorem of
-        C. R. Johnson and M. Newman, J. Combin. Theory Ser. B 28 (1980)
-        96-103.
+    A charpoly block is derived from other charpoly blocks by an exact
+    identity, instead of computed from its matrix, exactly when the base
+    blocks that the identity reads are already in the memo, so a block is
+    never computed only to derive another (derived_charpoly):
+      - side 1's l block, from side 0's by the complement identity
+        L(complement) = nI - J - L;
+      - a distance kind's block on a side of diameter <= 2, from the base
+        blocks of matrices.diameter2_form: M = alpha*I + beta*J + sign*B,
+        with det(xI - B + yJ) = p_B(x) + y*c_B(x) (cof_coeffs). For B = l,
+        c_B = n*p_B/x, read off that side's l block (or side 0's, for
+        side 1); for B = a or q, c_B follows from p_B and the other side's
+        p_B (complement_shift), so both sides' blocks are needed, as in the
+        theorem of C. R. Johnson and M. Newman, J. Combin. Theory Ser. B
+        28 (1980) 96-103.
     A derived block must be monic with c_(n-1) = -tr M and
     2 c_(n-2) = tr(M)^2 - ||M||_F^2, the traces read off the degrees and
     distance data (matrices.matrix_traces); otherwise ConsistencyError."""
 
-    __slots__ = ("sides", "build", "charpoly", "snf", "derive", "mats", "memo")
+    __slots__ = ("sides", "build", "charpoly", "snf", "mats", "memo")
 
-    def __init__(self, sides, build, charpoly, snf, derive=frozenset()):
+    def __init__(self, sides, build, charpoly, snf):
         self.sides = sides
         self.build = build
         self.charpoly = charpoly
         self.snf = snf
-        self.derive = derive
         self.mats = {}
         self.memo = {}
 
@@ -132,8 +133,7 @@ class _Blocks:
             if op == "snf":
                 ints = self.snf(self.matrix(kind, side))
             elif op == "charpoly":
-                if (kind, side) in self.derive:
-                    ints = self.derived_charpoly(kind, side)
+                ints = self.derived_charpoly(kind, side)
                 if ints is None:
                     ints = self.charpoly(self.matrix(kind, side))
             else:
@@ -145,24 +145,36 @@ class _Blocks:
         return ints
 
     def derived_charpoly(self, kind, side):
-        """The charpoly block of (kind, side) from other charpoly blocks,
-        or None where no identity applies."""
+        """The charpoly block of (kind, side) from the charpoly blocks in
+        the memo, or None where no identity applies or its base blocks are
+        not there."""
+        memo = self.memo
+        lap = MatrixKind.LAPLACIAN
         g = self.sides[side]
         n = g.n
-        if kind is MatrixKind.LAPLACIAN:
-            if not side:
+        if kind is lap:
+            if not side or ("charpoly", lap, 0) not in memo:
                 return None
             # p(x) = (-1)^(n-1) x r(n - x), with side 0's p_L = x r
-            p = (0, *ptaylor(self.block("charpoly", kind, 0)[1:], n, -1))
+            p = (0, *ptaylor(self.block("charpoly", lap, 0)[1:], n, -1))
             if not n & 1:
                 p = tuple(-v for v in p)
         else:
+            if kind not in DISTANCE_KINDS:
+                return None
             data = distance_data(g)
             if n < 2 or not data.connected or data.diameter > 2:
                 return None
             alpha, beta, sign, base = diameter2_form(kind, n)
+            if base is lap:
+                # side 1's l block derives from side 0's
+                ready = ("charpoly", lap, side) in memo or ("charpoly", lap, 0) in memo
+            else:
+                ready = ("charpoly", base, 0) in memo and ("charpoly", base, 1) in memo
+            if not ready:
+                return None
             pb = self.block("charpoly", base, side)
-            if base is MatrixKind.LAPLACIAN:
+            if base is lap:
                 cb = tuple(n * v for v in pb[1:])
             else:
                 # c_B(z) = (-1)^n p_B'(x0 - z) - p_B(z), with B' = x0*I + J - B

@@ -527,44 +527,84 @@ def test_every_census_is_the_same_at_one_and_two_jobs(monkeypatch):
                 want.domain_size, want.with_mate, len(want.buckets)), (n, row.task)
 
 
-def test_derivable_blocks_need_base_blocks_the_tasks_compute():
-    # a charpoly block is derived only where the task list computes its
-    # base blocks anyway, on any domain: the full task list derives all 15,
-    # a dl census alone none (it would compute l only to derive dl), and a
-    # d census derives side 0 only when both sides' a blocks are computed
+def _charpoly_calls(monkeypatch, n, tasks, lines, derive=True):
+    """(rows, sizes) of a jobs-1 sweep and its census.charpoly_coeffs call
+    count, with charpoly blocks derived (by default) or all computed."""
     import cospec.census as census
-    from cospec.matrices import DISTANCE_KINDS
+    from cospec.invariants import _Blocks
 
-    every = {(k, s) for k in DISTANCE_KINDS for s in (0, 1)} | {(K.LAPLACIAN, 1)}
-    assert census._derivable_blocks(all_tasks()) == every
+    charpoly = census.charpoly_coeffs
+    calls = []
+    with monkeypatch.context() as patch:
+        patch.setattr(census, "charpoly_coeffs", lambda m: calls.append(m) or charpoly(m))
+        if not derive:
+            patch.setattr(_Blocks, "derived_charpoly", lambda self, kind, side: None)
+        return sweep(n, tasks, lines, jobs=1), len(calls)
+
+
+def test_derivable_blocks_need_base_blocks_the_tasks_compute(monkeypatch):
+    # a charpoly block is derived only from base blocks that the line has
+    # computed anyway, so derivation never adds a charpoly call: a dl census
+    # alone derives nothing (it would compute l only to derive dl), a d
+    # block derives only where both sides' a blocks are computed, and the
+    # order of the task list does not matter
+    from cospec.graphs import complement, distance_data, parse_graph6
+
+    lines = connected_graph6_lines(7)
     for flavor in F:
-        assert census._derivable_blocks([CensusTask(K.DISTANCE_LAPLACIAN, flavor,
-                                                    D.CONNECTED_COMPLEMENT)]) == set()
+        tasks = [CensusTask(K.DISTANCE_LAPLACIAN, flavor, D.CONNECTED_COMPLEMENT)]
+        _, calls = _charpoly_calls(monkeypatch, 7, tasks, lines)
+        assert calls == _charpoly_calls(monkeypatch, 7, tasks, lines, derive=False)[1], flavor
+    # gen-spectral d and a: both sides' a blocks on every line, and d
+    # derived on each side of diameter <= 2, in either kind order
+    pairs = [(g, complement(g)) for g in map(parse_graph6, lines)]
+    small = sum(distance_data(h).diameter <= 2 for pair in pairs
+                if distance_data(pair[1]).connected for h in pair)
+    for kinds in ((K.DISTANCE, K.ADJACENCY), (K.ADJACENCY, K.DISTANCE)):
+        tasks = CensusSpec(7, D.CONNECTED_COMPLEMENT, kinds, F.GEN_SPECTRAL).tasks()
+        (_, sizes), calls = _charpoly_calls(monkeypatch, 7, tasks, lines)
+        assert calls == 4 * sizes[D.CONNECTED_COMPLEMENT] - small
+    # a base task on a smaller domain: d is derived on the diameter-2 pairs
+    # and computed from its matrix on the other lines, which compute no a
+    # block
+    d01 = CensusTask(K.DISTANCE, F.GEN_SPECTRAL, D.CONNECTED_COMPLEMENT)
+    a01 = CensusTask(K.ADJACENCY, F.GEN_SPECTRAL, D.DIAM2_PAIR)
+    for tasks in ([d01, a01], [a01, d01]):
+        (_, sizes), calls = _charpoly_calls(monkeypatch, 7, tasks, lines)
+        assert calls == 2 * sizes[D.CONNECTED_COMPLEMENT]
+    # side 0's d block needs side 1's a block, which an r-spectral a task
+    # does not compute; with a gen-spectral a task on the diameter-2 pairs
+    # it derives there
     d0 = CensusTask(K.DISTANCE, F.SPECTRAL, D.CONNECTED)
     a0 = CensusTask(K.ADJACENCY, F.R_SPECTRAL, D.CONNECTED)
-    a01 = CensusTask(K.ADJACENCY, F.GEN_SPECTRAL, D.DIAM2_PAIR)
-    assert census._derivable_blocks([d0, a0]) == set()
-    assert census._derivable_blocks([d0, a0, a01]) == {(K.DISTANCE, 0)}
-    assert census._derivable_blocks([a01]) == set()
+    (_, sizes), calls = _charpoly_calls(monkeypatch, 7, [d0, a0], lines)
+    assert calls == 3 * sizes[D.CONNECTED]
+    (_, sizes), calls = _charpoly_calls(monkeypatch, 7, [d0, a0, a01], lines)
+    assert calls == 3 * sizes[D.CONNECTED]
+    assert _charpoly_calls(monkeypatch, 7, [d0, a0, a01], lines, derive=False)[1] == (
+        3 * sizes[D.CONNECTED] + sizes[D.DIAM2_PAIR])
+    # side 1's l block derives from side 0's on every line; an SNF task
+    # of ddeg+, whose base is l, computes no charpoly
     lap = CensusTask(K.LAPLACIAN, F.GEN_SPECTRAL, D.CONNECTED)
-    assert census._derivable_blocks([lap]) == {(K.LAPLACIAN, 1)}
-    assert census._derivable_blocks([lap, CensusTask(K.SIGNLESS_DEGREE_DISTANCE, F.GEN_INVARIANT,
-                                                     D.DIAM2_PAIR)]) == {(K.LAPLACIAN, 1)}
+    ddeg = CensusTask(K.SIGNLESS_DEGREE_DISTANCE, F.GEN_INVARIANT, D.DIAM2_PAIR)
+    for tasks in ([lap], [lap, ddeg]):
+        (_, sizes), calls = _charpoly_calls(monkeypatch, 7, tasks, lines)
+        assert calls == sizes[D.CONNECTED]
 
 
 def test_derivation_leaves_every_census_byte_identical(monkeypatch):
     # all 136 tasks at n <= 7 give equal rows, bucket by bucket, with the
     # derivable charpoly blocks derived and with every block computed from
     # its matrix
-    import cospec.census as census
+    from cospec.invariants import _Blocks
 
     tasks = all_tasks()
-    assert len(tasks) == 136 and len(census._derivable_blocks(tasks)) == 15
+    assert len(tasks) == 136
     for n in range(2, 8):
         lines = connected_graph6_lines(n)
         derived = sweep(n, tasks, lines, jobs=1)
         with monkeypatch.context() as patch:
-            patch.setattr(census, "_derivable_blocks", lambda tasks: frozenset())
+            patch.setattr(_Blocks, "derived_charpoly", lambda self, kind, side: None)
             assert sweep(n, tasks, lines, jobs=1) == derived, n
 
 

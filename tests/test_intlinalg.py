@@ -215,15 +215,17 @@ def test_charpoly_rejects_non_symmetric():
 
 def test_determinant_and_snf_reject_non_square():
     # a 2 x 3 matrix once gave the determinant of its left 2 x 2 block, and
-    # a 3 x 2 one three invariant factors
-    for m in ([[1, 2, 3], [4, 5, 6]], [[1, 0], [0, 1], [0, 0]], [[1, 0], [0]]):
+    # a 3 x 2 one three invariant factors; snf_diagonal gave (1,) for
+    # [[1, 2, 3]] and (1, 0) for [[1, 2], [3]]
+    for m in ([[1, 2, 3], [4, 5, 6]], [[1, 0], [0, 1], [0, 0]], [[1, 0], [0]], [[1, 2, 3]],
+              [[1, 2], [3]]):
         with pytest.raises(ValueError, match="square"):
             determinant(m)
         with pytest.raises(ValueError, match="square"):
             smith_normal_form(m)
         # a ragged matrix once passed the symmetry test, which zips rows
         # against columns, and crashed the elimination with an IndexError
-        for fn in (charpoly_coeffs, cof_coeffs, determinantal_gcds_Qx):
+        for fn in (charpoly_coeffs, cof_coeffs, determinantal_gcds_Qx, snf_diagonal):
             with pytest.raises(ValueError, match="square"):
                 fn(m)
     assert determinant([]) == 1 and smith_normal_form([]) == ()

@@ -419,12 +419,13 @@ def test_kind_group_partitions_diam2(n, count):
 
 
 def test_derived_charpoly_blocks_equal_the_kernel():
-    # every charpoly block that a census may derive equals the kernel's
-    # charpoly of its matrix, on every graph with a connected complement
-    # and n <= 8: the seven distance kinds on each side of diameter <= 2,
-    # and side 1's l on every graph; a side of diameter 3 or more derives
-    # nothing
-    derive = frozenset([(k, s) for k in DISTANCE_KINDS for s in (0, 1)] + [(K.LAPLACIAN, 1)])
+    # every charpoly block that can be derived equals the kernel's charpoly
+    # of its matrix, on every graph with a connected complement and n <= 8,
+    # once the kernel's base blocks (a, l and q of both sides) are in the
+    # memo: the seven distance kinds on each side of diameter <= 2, and
+    # side 1's l on every graph; a side of diameter 3 or more derives
+    # nothing, and neither does an empty memo
+    derivable = [(k, s) for k in DISTANCE_KINDS for s in (0, 1)] + [(K.LAPLACIAN, 1)]
     checked = Counter()
     for n in range(2, 9):
         for line in connected_graph6_lines(n):
@@ -432,8 +433,12 @@ def test_derived_charpoly_blocks_equal_the_kernel():
             cg = complement(g)
             if not distance_data(cg).connected:
                 continue
-            blocks = _Blocks((g, cg), build_matrix, charpoly_coeffs, snf_diagonal, derive)
-            for kind, side in derive:
+            blocks = _Blocks((g, cg), build_matrix, charpoly_coeffs, snf_diagonal)
+            assert all(blocks.derived_charpoly(kind, side) is None for kind, side in derivable)
+            for base in (K.ADJACENCY, K.LAPLACIAN, K.SIGNLESS_LAPLACIAN):
+                for side, h in enumerate(blocks.sides):
+                    blocks.memo["charpoly", base, side] = charpoly_coeffs(build_matrix(h, base))
+            for kind, side in derivable:
                 h = blocks.sides[side]
                 got = blocks.derived_charpoly(kind, side)
                 if kind is not K.LAPLACIAN and distance_data(h).diameter > 2:
@@ -442,6 +447,22 @@ def test_derived_charpoly_blocks_equal_the_kernel():
                 assert got == charpoly_coeffs(build_matrix(h, kind)), (line, kind.value, side)
                 checked[kind] += 1
     assert checked == {K.LAPLACIAN: 10627, **{kind: 6254 for kind in DISTANCE_KINDS}}
+
+
+def test_a_gen_spectral_l_fingerprint_derives_the_complement_block(monkeypatch):
+    # side 1's l block derives from side 0's, so one charpoly is computed,
+    # and the key is that of both blocks computed from their matrices
+    import cospec.invariants as invariants
+
+    g = parse_graph6("E@Vw")
+    want = fingerprint(g, K.LAPLACIAN, F.GEN_SPECTRAL)
+    calls = []
+    monkeypatch.setattr(invariants, "charpoly_coeffs",
+                        lambda m: calls.append(m) or charpoly_coeffs(m))
+    assert fingerprint(g, K.LAPLACIAN, F.GEN_SPECTRAL) == want
+    assert len(calls) == 1
+    computed = [charpoly_coeffs(build_matrix(h, K.LAPLACIAN)) for h in (g, complement(g))]
+    assert want == compose_key(K.LAPLACIAN, F.GEN_SPECTRAL, computed)
 
 
 def pscale(a, k):
