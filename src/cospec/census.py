@@ -36,10 +36,10 @@ from side 0's, and a distance kind's block on a side of diameter <= 2,
 where the matrix is alpha*I + beta*J + sign*B for B = a, l or q
 (matrices.diameter2_form). A block is derived exactly when the line has
 already computed its base blocks, so a census never computes a block only
-to derive another; the tasks of the base kinds are keyed first
-(_line_keys). Each derived block must pass the charpoly trace identities,
-or the line fails with a ConsistencyError; rows are the same with
-derivation on and off.
+to derive another; the tasks of the base kinds are keyed first, in an
+order the sweep fixes once. Each derived block must pass the charpoly
+trace identities, or the line fails with a ConsistencyError; rows are the
+same with derivation on and off.
 
 This module builds no key bytes: invariants.compose_key builds the full
 keys and invariants.snf_prefix the prefix keys, with one encoder. A prefix
@@ -188,10 +188,8 @@ def _line_keys(n, tasks, deferred, item):
     outside every domain, else the domain membership flags and the
     (task_index, key) pairs of the tasks whose domain holds the graph, the
     key of a deferred task being the snf_prefix read off its charpolys.
-    The complement's BFS runs only for a connected line. The tasks of the
-    base kinds a, l and q are keyed first, so that a distance kind's
-    charpoly block is derived from their blocks where an identity applies
-    (invariants._Blocks), whatever the order of the task list.
+    The complement's BFS runs only for a connected line. tasks maps each
+    task index to its task, in the order the first pass keys them.
 
     Second pass (indices the (task_index, prefix) pairs of the deferred
     tasks whose prefixes collided): the (task_index, full key) pairs, after
@@ -218,8 +216,7 @@ def _line_keys(n, tasks, deferred, item):
                 Domain.CONNECTED_COMPLEMENT: cdd.connected,
                 Domain.DIAM2_PAIR: cdd.connected and dd.diameter == 2 and cdd.diameter == 2,
             }
-            order = sorted(range(len(tasks)), key=lambda ti: tasks[ti].kind in DISTANCE_KINDS)
-            indices = [(ti, None) for ti in order if member[tasks[ti].domain]]
+            indices = [(ti, None) for ti, task in tasks.items() if member[task.domain]]
         # the block functions are read from this module per line, so that
         # patched attributes apply
         blocks = _Blocks((g, cg), build_matrix, charpoly_coeffs, snf_diagonal)
@@ -319,7 +316,11 @@ def sweep(n, tasks, lines, jobs=None):
     # one line enter the buckets when the first pass ends
     pending = {ti: {} for ti in deferred}
     marked = {}  # line number -> (deferred task index, prefix) pairs to refine
-    work = partial(_line_keys, n, tasks, deferred)
+    # the tasks of the base kinds a, l and q are keyed first, so that a
+    # distance kind's charpoly block is derived from their blocks where an
+    # identity applies (invariants._Blocks), whatever the order of tasks
+    order = dict(sorted(enumerate(tasks), key=lambda item: item[1].kind in DISTANCE_KINDS))
+    work = partial(_line_keys, n, order, deferred)
     with Pool(workers) if workers > 1 else nullcontext() as pool:
         first = ((lineno, line, None) for lineno, line in _data_lines(lines))
         for (lineno, _, _), res in _imap(pool, work, first, chunk_size, window):

@@ -101,9 +101,10 @@ class _Blocks:
       - a distance kind's block on a side of diameter <= 2, from the base
         blocks of matrices.diameter2_form: M = alpha*I + beta*J + sign*B,
         with det(xI - B + yJ) = p_B(x) + y*c_B(x) (cof_coeffs). For B = l,
-        c_B = n*p_B/x, read off that side's l block (or side 0's, for
-        side 1); for B = a or q, c_B follows from p_B and the other side's
-        p_B (complement_shift), so both sides' blocks are needed, as in the
+        c_B = n*p_B/x, read off that side's l block, so side 0's is
+        needed (side 1's derives from it); for B = a or q, c_B follows
+        from p_B and the other side's p_B (complement_shift), so both
+        sides' blocks are needed, as in the
         theorem of C. R. Johnson and M. Newman, J. Combin. Theory Ser. B
         28 (1980) 96-103.
     A derived block must be monic with c_(n-1) = -tr M and
@@ -167,8 +168,7 @@ class _Blocks:
                 return None
             alpha, beta, sign, base = diameter2_form(kind, n)
             if base is lap:
-                # side 1's l block derives from side 0's
-                ready = ("charpoly", lap, side) in memo or ("charpoly", lap, 0) in memo
+                ready = ("charpoly", lap, 0) in memo
             else:
                 ready = ("charpoly", base, 0) in memo and ("charpoly", base, 1) in memo
             if not ready:

@@ -595,17 +595,33 @@ def test_derivable_blocks_need_base_blocks_the_tasks_compute(monkeypatch):
 def test_derivation_leaves_every_census_byte_identical(monkeypatch):
     # all 136 tasks at n <= 7 give equal rows, bucket by bucket, with the
     # derivable charpoly blocks derived and with every block computed from
-    # its matrix
+    # its matrix; at n = 7 the sweep derives all 15 derivable blocks: each
+    # distance kind on both sides, whatever its base, and side 1's l
     from cospec.invariants import _Blocks
+    from cospec.matrices import DISTANCE_KINDS
+
+    derive = _Blocks.derived_charpoly
+    seen = set()
+
+    def recorded(self, kind, side):
+        p = derive(self, kind, side)
+        if p is not None:
+            seen.add((kind, side))
+        return p
 
     tasks = all_tasks()
     assert len(tasks) == 136
     for n in range(2, 8):
         lines = connected_graph6_lines(n)
-        derived = sweep(n, tasks, lines, jobs=1)
+        seen.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(_Blocks, "derived_charpoly", recorded)
+            derived = sweep(n, tasks, lines, jobs=1)
         with monkeypatch.context() as patch:
             patch.setattr(_Blocks, "derived_charpoly", lambda self, kind, side: None)
             assert sweep(n, tasks, lines, jobs=1) == derived, n
+    assert seen == {(K.LAPLACIAN, 1)} | {(k, side) for k in DISTANCE_KINDS for side in (0, 1)}
+    assert len(seen) == 15
 
 
 def test_a_wrong_base_block_fails_the_derived_block_check(monkeypatch):
