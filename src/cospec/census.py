@@ -45,6 +45,12 @@ This module builds no key bytes: invariants.compose_key builds the full
 keys and invariants.snf_prefix the prefix keys, with one encoder. A prefix
 starts with "P", which no full key holds, so the two never meet in a
 bucket.
+
+The records here are typing.NamedTuples; CensusTask and CensusSpec check
+their fields in __new__, which _replace and unpickling go through too.
+multiprocessing is imported by Pool, at the first sweep with two or more
+workers, and fractions by CensusRow.uncertainty, so that importing this
+module loads neither.
 """
 
 from __future__ import annotations
@@ -52,11 +58,9 @@ from __future__ import annotations
 import os
 from collections import Counter, deque
 from contextlib import nullcontext
-from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import partial
 from itertools import islice
-from multiprocessing import Pool
+from typing import NamedTuple
 
 from .errors import CensusInputError, ConsistencyError, CospecError, _prefixed, at_line
 from .graphs import (
@@ -84,53 +88,67 @@ class Domain(TokenEnum):
     DIAM2_PAIR = "diam2-pair"
 
 
-@dataclass(frozen=True)
-class CensusTask:
+class _TaskFields(NamedTuple):
     kind: MatrixKind
     flavor: Flavor
     domain: Domain
 
-    def __post_init__(self):
-        if (
-            self.kind.requires_connected
-            and self.flavor.uses_complement
-            and self.domain is Domain.CONNECTED
-        ):
+
+class CensusTask(_TaskFields):
+    """One (kind, flavor, domain) census cell; checked in __new__, which
+    _make, _replace and unpickling go through too."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind, flavor, domain):
+        if kind.requires_connected and flavor.uses_complement and domain is Domain.CONNECTED:
             raise ValueError(
-                f"generalized {self.kind.value!r} fingerprints need connected "
+                f"generalized {kind.value!r} fingerprints need connected "
                 f"complements; use domain {Domain.CONNECTED_COMPLEMENT.value!r} or "
                 f"{Domain.DIAM2_PAIR.value!r}"
             )
+        return super().__new__(cls, kind, flavor, domain)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class CensusSpec:
-    """One census request: bucket the domain graphs of every listed kind
-    under the given flavor."""
-
+class _SpecFields(NamedTuple):
     n: int
     domain: Domain
     kinds: tuple
     flavor: Flavor
     source: str = None  # graph6 file path, '-' = stdin; None = bundled generator
 
-    def __post_init__(self):
-        object.__setattr__(self, "kinds", tuple(self.kinds))
-        if not 2 <= self.n <= MAX_VERTICES:
-            raise ValueError(f"census needs 2 <= n <= {MAX_VERTICES} (got {self.n})")
+
+class CensusSpec(_SpecFields):
+    """One census request: bucket the domain graphs of every listed kind
+    under the given flavor. Checked in __new__, like CensusTask."""
+
+    __slots__ = ()
+
+    def __new__(cls, n, domain, kinds, flavor, source=None):
+        self = super().__new__(cls, n, domain, tuple(kinds), flavor, source)
+        if not 2 <= n <= MAX_VERTICES:
+            raise ValueError(f"census needs 2 <= n <= {MAX_VERTICES} (got {n})")
         if not self.kinds:
             raise ValueError("census needs at least one matrix kind")
         self.tasks()  # each CensusTask checks its (kind, flavor, domain)
         for i, kind in enumerate(self.kinds):
             if kind in self.kinds[:i]:
                 raise ValueError(f"census names kind {kind.value!r} more than once")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def tasks(self):
         return [CensusTask(kind, self.flavor, self.domain) for kind in self.kinds]
 
 
-@dataclass(frozen=True)
-class CensusRow:
+class CensusRow(NamedTuple):
     """Bucket counts of one (kind, flavor, domain) task over the n-vertex
     graphs of its domain; with_mate and uncertainty derive from them.
 
@@ -138,12 +156,19 @@ class CensusRow:
     alone in its prefix class of a deferred SNF task (see sweep) is counted
     under its prefix key, b"P...", which enters the buckets when the first
     pass ends; such a graph is alone in its fingerprint bucket too, so
-    with_mate and len(buckets) are those of the full fingerprints."""
+    with_mate and len(buckets) are those of the full fingerprints.
+    buckets is compared, but kept out of hash and repr."""
 
     task: CensusTask
     n: int
     domain_size: int
-    buckets: Counter = field(repr=False, hash=False)
+    buckets: Counter
+
+    def __hash__(self):
+        return hash(self[:3])
+
+    def __repr__(self):
+        return f"CensusRow(task={self.task!r}, n={self.n!r}, domain_size={self.domain_size!r})"
 
     @property
     def kind(self):
@@ -159,7 +184,17 @@ class CensusRow:
 
     @property
     def uncertainty(self):
+        from fractions import Fraction
+
         return Fraction(self.with_mate, self.domain_size or 1)
+
+
+def Pool(processes):
+    """multiprocessing.Pool(processes), imported at the first sweep with two
+    or more workers, so that a serial run never loads multiprocessing."""
+    import multiprocessing
+
+    return multiprocessing.Pool(processes)
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +415,7 @@ def run_census(spec, jobs=None):
 # the published reference tables
 
 
-@dataclass(frozen=True)
-class ExpectedCell:
+class ExpectedCell(NamedTuple):
     table: int
     row: str  # "domain-size" | "gin" | "gsp"
     kind: MatrixKind  # None for domain-size rows
@@ -478,8 +512,7 @@ def expected_tables():
     return tuple(cells)
 
 
-@dataclass(frozen=True)
-class DiffResult:
+class DiffResult(NamedTuple):
     cell: ExpectedCell
     actual: int
     ok: bool

@@ -9,11 +9,11 @@ always cross-checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import combinations
 from math import gcd, prod
 from operator import or_
+from typing import NamedTuple
 
 from .errors import ConsistencyError, UnsupportedSizeError
 from .graphs import MAX_VERTICES, Graph, check_tree, distance_data
@@ -23,12 +23,14 @@ from .matrices import MatrixKind, build_matrix
 TWO_MATCHING_MAX_N = 12
 
 
-@dataclass(frozen=True)
-class TreeData:
-    """A tree together with c(u) = trs(u) - deg(u) per vertex."""
-
+class _TreeFields(NamedTuple):
     tree: Graph
     c: tuple
+
+
+class TreeData(_TreeFields):
+    """A tree together with c(u) = trs(u) - deg(u) per vertex. Without
+    __slots__, so that the cached _edge_sides has a __dict__ to live in."""
 
     @classmethod
     def from_graph(cls, g):
@@ -49,8 +51,7 @@ class TreeData:
         )
 
 
-@dataclass(frozen=True)
-class TwoMatching:
+class TwoMatching(NamedTuple):
     """Edge/loop subset with at most two incidences per vertex (a loop
     counts as two); loops is the set of looped vertices."""
 

@@ -13,8 +13,8 @@ import io
 import string
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import Graph6ParseError, UnsupportedSizeError, at_line
 
@@ -27,18 +27,16 @@ TREE_MAX_N = 12
 UNREACHABLE = -1
 
 
-@dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph; rows[v] is the neighbor bitmask of v;
-    distance_data(g) is memoized in __dict__, outside the compared fields."""
+    """Simple undirected graph; rows[v] is the neighbor bitmask of v.
 
-    n: int
-    rows: tuple
+    Immutable: equality and hash read (n, rows) only, and assigning or
+    deleting an attribute raises AttributeError. n and rows live in the
+    instance __dict__, next to the distance_data(g) memo, which stays
+    outside the compared fields."""
 
-    def __post_init__(self):
-        n = self.n
-        rows = tuple(self.rows)
-        object.__setattr__(self, "rows", rows)
+    def __init__(self, n, rows):
+        rows = tuple(rows)
         if not 1 <= n <= MAX_VERTICES:
             raise ValueError(f"vertex count {n} outside [1, {MAX_VERTICES}]")
         if len(rows) != n:
@@ -54,6 +52,24 @@ class Graph:
             for v in range(u + 1, n):
                 if ((ru >> v) ^ (rows[v] >> u)) & 1:
                     raise ValueError(f"adjacency not symmetric at ({u}, {v})")
+        self.__dict__.update(n=n, rows=rows)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Graph is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Graph is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.rows == other.rows
+
+    def __hash__(self):
+        return hash((self.n, self.rows))
+
+    def __repr__(self):
+        return f"Graph(n={self.n!r}, rows={self.rows!r})"
 
     def has_edge(self, u, v):
         return bool((self.rows[u] >> v) & 1)
@@ -74,11 +90,11 @@ class Graph:
 
 
 def _graph(n, rows):
-    """Graph(n, rows) without the checks of __post_init__, for a rows tuple
-    that is loop-free, symmetric and within n by construction."""
+    """Graph(n, rows) without the checks of Graph.__init__, for a rows tuple
+    that is loop-free, symmetric and within n by construction; it fills the
+    instance __dict__ directly."""
     g = object.__new__(Graph)
-    object.__setattr__(g, "n", n)
-    object.__setattr__(g, "rows", rows)
+    g.__dict__.update(n=n, rows=rows)
     return g
 
 
@@ -320,8 +336,7 @@ def iter_graph6_lines(lines):
 # BFS metric data
 
 
-@dataclass(frozen=True)
-class DistanceData:
+class DistanceData(NamedTuple):
     """Per-pair hop counts plus the derived transmission vector.
 
     Unreachable pairs hold UNREACHABLE (-1); trs and diameter are None for

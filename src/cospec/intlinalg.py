@@ -17,14 +17,6 @@ from .errors import ConsistencyError
 from .polynomials import pgcd, psub
 
 
-def identity_matrix(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def ones_matrix(n):
-    return [[1] * n for _ in range(n)]
-
-
 def determinant(m):
     """Exact determinant by fraction-free (Bareiss) elimination."""
     n = len(m)

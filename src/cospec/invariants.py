@@ -35,8 +35,8 @@ already computed; every other block is computed from its matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
+from typing import NamedTuple
 
 from .errors import ConnectivityError, ConsistencyError, pair_map
 from .graphs import complement, distance_data
@@ -301,8 +301,7 @@ def is_codeterminantal_Qx(g, h, kind):
     return _equal_values(lambda x: determinantal_gcds_Qx(build_matrix(x, kind)), g, h)
 
 
-@dataclass(frozen=True)
-class CokernelGroup:
+class CokernelGroup(NamedTuple):
     """Z^n / Im M as torsion invariant factors (> 1) plus free rank."""
 
     torsion: tuple

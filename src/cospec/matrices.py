@@ -167,11 +167,3 @@ def matrix_traces(g, kind):
     # the base has a zero diagonal, and A's entries are 0 or 1
     off = sum(deg) if base == "adj" else sum([v * v for row in data.dist for v in row])
     return sum(diag), sum([v * v for v in diag]) + off
-
-
-def apply_shift(m, x, y):
-    """x*I + y*J - m."""
-    n = len(m)
-    return [
-        [(x if i == j else 0) + y - m[i][j] for j in range(n)] for i in range(n)
-    ]

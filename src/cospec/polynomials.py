@@ -29,25 +29,6 @@ def psub(a, b):
     return trim((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n))
 
 
-def pmul(a, b):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return trim(out)
-
-
-def peval(a, x):
-    """Horner evaluation; exact for int or Fraction x."""
-    acc = 0
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
-
-
 def ptaylor(a, c, sign=1):
     """Coefficients of a(sign*x + c), sign = 1 or -1: the Taylor shift
     a(x + c) by repeated synthetic division, then x -> -x for sign -1."""

@@ -2,12 +2,48 @@
 characteristic polynomial, the full-matrix min-|entry| Smith normal form
 and the raw-minor enumeration of the Q[x] determinantal gcds that the
 library used before its faster kernels. The production kernels in
-cospec.intlinalg must give identical results."""
+cospec.intlinalg must give identical results. Also the small matrix and
+polynomial helpers that only the tests use."""
 
 from fractions import Fraction
 from itertools import combinations
 
-from cospec.polynomials import padd, pgcd, pmul, pprimitive, psub, trim
+from cospec.polynomials import padd, pgcd, pprimitive, psub, trim
+
+
+def identity_matrix(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def ones_matrix(n):
+    return [[1] * n for _ in range(n)]
+
+
+def apply_shift(m, x, y):
+    """x*I + y*J - m."""
+    n = len(m)
+    return [
+        [(x if i == j else 0) + y - m[i][j] for j in range(n)] for i in range(n)
+    ]
+
+
+def pmul(a, b):
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return trim(out)
+
+
+def peval(a, x):
+    """Horner evaluation; exact for int or Fraction x."""
+    acc = 0
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
 
 
 def berkowitz_charpoly(m):

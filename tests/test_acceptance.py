@@ -31,10 +31,10 @@ from cospec.invariants import Flavor, compose_key, fingerprint, is_codeterminant
 from cospec.matrices import (
     ALL_KINDS,
     MatrixKind,
-    apply_shift,
     build_matrix,
     complement_shift,
 )
+from kernel_reference import apply_shift
 
 K = MatrixKind
 F = Flavor

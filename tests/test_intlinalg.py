@@ -27,15 +27,20 @@ from cospec.intlinalg import (
     cof_coeffs,
     determinant,
     determinantal_gcds_Qx,
-    identity_matrix,
-    ones_matrix,
     smith_normal_form,
     snf_diagonal,
 )
 from cospec.invariants import is_codeterminantal_Qx
 from cospec.matrices import ALL_KINDS, MatrixKind, build_matrix
-from cospec.polynomials import peval, pmul
-from kernel_reference import berkowitz_charpoly, reference_determinantal_gcds, reference_snf
+from kernel_reference import (
+    berkowitz_charpoly,
+    identity_matrix,
+    ones_matrix,
+    peval,
+    pmul,
+    reference_determinantal_gcds,
+    reference_snf,
+)
 
 ATRS_K13 = [[5, 0, 0, -1], [0, 5, 0, -1], [0, 0, 5, -1], [-1, -1, -1, 3]]
 

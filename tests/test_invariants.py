@@ -34,7 +34,8 @@ from cospec.invariants import (
     snf_prefix,
 )
 from cospec.matrices import DISTANCE_KINDS, MatrixKind, build_matrix
-from cospec.polynomials import padd, pmul
+from cospec.polynomials import padd
+from kernel_reference import pmul
 
 K = MatrixKind
 F = Flavor

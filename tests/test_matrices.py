@@ -15,12 +15,12 @@ from cospec.matrices import (
     ALL_KINDS,
     DISTANCE_KINDS,
     MatrixKind,
-    apply_shift,
     build_matrix,
     complement_shift,
     diameter2_form,
     matrix_traces,
 )
+from kernel_reference import apply_shift
 
 K = MatrixKind
 
