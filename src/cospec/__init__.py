@@ -9,16 +9,6 @@ from .census import (
     expected_tables,
     run_census,
 )
-from .closed_forms import (
-    TreeData,
-    TwoMatching,
-    minimal_two_matchings,
-    multipartite_snf,
-    rho,
-    star_snf,
-    tree_delta_n,
-    tree_snf,
-)
 from .errors import (
     CensusInputError,
     ConnectivityError,
@@ -56,3 +46,23 @@ from .invariants import (
 from .matrices import MatrixKind, ShiftParams, build_matrix, complement_shift
 
 __version__ = "0.1.0"
+
+# no sweep uses the closed forms, so they load on first use
+_CLOSED_FORMS = frozenset({
+    "TreeData",
+    "TwoMatching",
+    "minimal_two_matchings",
+    "multipartite_snf",
+    "rho",
+    "star_snf",
+    "tree_delta_n",
+    "tree_snf",
+})
+
+
+def __getattr__(name):
+    if name in _CLOSED_FORMS:
+        from . import closed_forms
+
+        return getattr(closed_forms, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

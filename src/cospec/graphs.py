@@ -415,42 +415,82 @@ def _canonical_columns(n, rows):
 
     Greedy level search: the minimal bit stream must route through a
     minimal column at every position, so only tied extensions survive.
-    Each level extends every chosen partial labeling by the vertices of its
-    frontier, those that give it its least next column, once per twin class
-    (twins are swappable by a transposition automorphism). Each extension is
-    scored as it is made: its least next column and the frontier giving it
-    come from one neighbourhood test per labeled vertex, most significant
-    bit first. The extensions with the least column are the next level's
-    chosen labelings.
+    Each level extends the chosen partial labelings by the vertices of
+    their frontiers, once per twin class (twins are swappable by a
+    transposition automorphism), and keeps the extensions with the least
+    next column. The frontier of a labeling p is the set of unplaced
+    vertices that give p its least next column. A scan finds both, one
+    neighbourhood test per labeled vertex u, most significant bit first:
+    from the set X of unplaced vertices, the bit is 0 and X shrinks to
+    X - N(u) when that is nonempty, and the bit is 1 otherwise.
+
+    Every labeling chosen at a level has the same least next column c.
+    Let p be one of them with frontier s; every set of p's scan contains
+    s. Extend p by v in s. If s - v is nonempty, the scan of p + (v,)
+    starts from X - v, so at each of p's vertices X - v - N(u) is empty
+    exactly when X - N(u) is, and it takes p's bits and ends on s - v.
+    The last vertex v adds one bit b, so the next column is 2c + b, with
+    b = 0 and frontier (s - v) - N(v) when that is nonempty, and b = 1 and
+    frontier s - v otherwise: each extension costs O(1) bit operations.
+    If s = {v}, take the first step of p's scan after which v is the only
+    vertex left (p leaves two or more vertices unplaced, so there is one):
+    there p's bit is 0, and the same prefix of the scan of
+    p + (v,) gives 1. So that extension's column exceeds 2c + 1, and it is
+    never chosen while some labeling has a frontier of two or more
+    vertices. Only when every frontier is one vertex does the level scan
+    each p + (v,) in full. Zeros beat ones: the extensions with b = 0 are
+    kept when there are any.
     """
     full = (1 << n) - 1
     twins = _twin_classes(rows)
     chosen = [((), 0, full)]
     cols = []
+    c = 0
     for _ in range(n - 1):
-        best = None
-        for p, used, frontier in chosen:
-            while frontier:
-                v = (frontier & -frontier).bit_length() - 1
-                frontier &= ~twins[v]
-                q = p + (v,)
-                qused = used | 1 << v
+        zeros = []
+        ones = []
+        for p, used, s in chosen:
+            if not s & (s - 1):
+                continue
+            rest = s
+            while rest:
+                bit = rest & -rest
+                v = bit.bit_length() - 1
+                rest &= ~twins[v]
+                s_v = s ^ bit
+                t = s_v & ~rows[v]
+                if t:
+                    zeros.append((p + (v,), used | bit, t))
+                elif not zeros:
+                    ones.append((p + (v,), used | bit, s_v))
+        if zeros:
+            c <<= 1
+            chosen = zeros
+        elif ones:
+            c = c << 1 | 1
+            chosen = ones
+        else:  # every frontier is one vertex
+            best = None
+            for p, used, v_bit in chosen:
+                q = p + (v_bit.bit_length() - 1,)
+                qused = used | v_bit
                 s = full ^ qused
-                c = 0
+                col = 0
                 for u in q:
                     t = s & ~rows[u]
                     if t:
                         s = t
-                        c <<= 1
+                        col <<= 1
                     else:
-                        c = (c << 1) | 1
-                if best is None or c < best:
-                    best = c
+                        col = col << 1 | 1
+                if best is None or col < best:
+                    best = col
                     extended = [(q, qused, s)]
-                elif c == best:
+                elif col == best:
                     extended.append((q, qused, s))
-        cols.append(best)
-        chosen = extended
+            c = best
+            chosen = extended
+        cols.append(c)
     return cols
 
 
@@ -515,6 +555,16 @@ def connected_graph6_lines(n):
     m: every connected graph has a non-cut vertex of least inv among its
     non-cut vertices, and deleting it leaves a connected parent whose
     extension by that vertex is kept.
+
+    A degree prefilter skips, before any rows are copied, masks that the
+    inv rule would reject. Let delta be the least degree of a non-cut
+    vertex of the parent and R its non-cut vertices of degree delta. For a
+    parent with two or more vertices delta >= 1, so a mask of d >= delta + 1
+    bits has d >= 2; then every non-cut vertex of the parent stays non-cut
+    in the child, as m keeps a neighbour when it is deleted, and gains a
+    degree only if it is in the mask. So when d > delta + 1, or d =
+    delta + 1 and some vertex of R is not in the mask, a non-cut vertex of
+    degree less than d has a smaller inv than m.
     """
     if not 1 <= n <= GENERATOR_MAX_N:
         raise UnsupportedSizeError(
@@ -531,7 +581,15 @@ def connected_graph6_lines(n):
     for line in prev:
         brows = parse_graph6(line).rows
         bdeg = [r.bit_count() for r in brows]
+        # delta, the least degree of a non-cut vertex of the parent, and
+        # least, the bitset of its non-cut vertices of that degree
+        noncut = [v for v in range(m) if _connected(brows, (bit - 1) ^ (1 << v))]
+        delta = min(bdeg[v] for v in noncut)
+        least = sum(1 << v for v in noncut if bdeg[v] == delta)
         for mask in _sorted_masks(m, brows):
+            d = mask.bit_count()
+            if d > delta + 1 or d == delta + 1 and least & ~mask:
+                continue
             rows = list(brows)
             deg = list(bdeg)
             rest = mask
@@ -541,7 +599,6 @@ def connected_graph6_lines(n):
                 rows[u] |= bit
                 deg[u] += 1
             rows.append(mask)
-            d = mask.bit_count()
             deg.append(d)
             inv = None
             for v in range(m):

@@ -1,13 +1,15 @@
 """Reference kernels for the tests: the division-free Berkowitz
 characteristic polynomial, the full-matrix min-|entry| Smith normal form
 and the raw-minor enumeration of the Q[x] determinantal gcds that the
-library used before its faster kernels. The production kernels in
-cospec.intlinalg must give identical results. Also the small matrix and
+library used before its faster kernels, and the canonical level search
+that scans every extension. The production kernels in cospec.intlinalg
+and cospec.graphs must give identical results. Also the small matrix and
 polynomial helpers that only the tests use."""
 
 from fractions import Fraction
 from itertools import combinations
 
+from cospec.graphs import _twin_classes
 from cospec.polynomials import padd, pgcd, pprimitive, psub, trim
 
 
@@ -233,3 +235,45 @@ def reference_determinantal_gcds(m):
         cur = nxt
         gs.append(_gcd_of_polys(cur.values()))
     return tuple(tuple(Fraction(c, g[-1]) for c in g) for g in gs)
+
+
+def reference_canonical_columns(n, rows):
+    """Column codes of the lexicographically minimal graph6 labeling, by the
+    greedy level search that scores every extension with a full scan.
+
+    Each level extends every chosen partial labeling by the vertices of its
+    frontier, those that give it its least next column, once per twin
+    class. An extension's least next column and the frontier giving it
+    come from one neighbourhood test per labeled vertex, most significant
+    bit first. The extensions with the least column are the next level's
+    chosen labelings.
+    """
+    full = (1 << n) - 1
+    twins = _twin_classes(rows)
+    chosen = [((), 0, full)]
+    cols = []
+    for _ in range(n - 1):
+        best = None
+        for p, used, frontier in chosen:
+            while frontier:
+                v = (frontier & -frontier).bit_length() - 1
+                frontier &= ~twins[v]
+                q = p + (v,)
+                qused = used | 1 << v
+                s = full ^ qused
+                c = 0
+                for u in q:
+                    t = s & ~rows[u]
+                    if t:
+                        s = t
+                        c <<= 1
+                    else:
+                        c = (c << 1) | 1
+                if best is None or c < best:
+                    best = c
+                    extended = [(q, qused, s)]
+                elif c == best:
+                    extended.append((q, qused, s))
+        cols.append(best)
+        chosen = extended
+    return cols

@@ -3,6 +3,7 @@ import pickle
 import random
 from functools import lru_cache
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +29,7 @@ from cospec.graphs import (
     tree_key,
     write_graph6,
 )
+from kernel_reference import reference_canonical_columns
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +367,33 @@ def test_canonical_key_matches_brute_force_symmetric_graphs():
         assert canonical_key(g) == _brute_force_key(g)
 
 
+def test_canonical_columns_match_reference_search():
+    # the search that scans only when every frontier is one vertex chooses
+    # the same columns as the one that scans every extension
+    def check(g):
+        assert graphs._canonical_columns(g.n, g.rows) == reference_canonical_columns(g.n, g.rows)
+
+    for n in range(1, 7):
+        pairs = [(u, v) for v in range(n) for u in range(v)]
+        for bits in range(1 << len(pairs)):
+            check(from_edges(n, [e for k, e in enumerate(pairs) if bits >> k & 1]))
+    rng = random.Random(32)
+    n8 = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "n8.g6"
+    lines = n8.read_text().split()
+    perm = list(range(8))
+    for line in rng.sample(lines, 2000):
+        rng.shuffle(perm)
+        g = from_edges(8, [(perm[u], perm[v]) for u, v in parse_graph6(line).edges()])
+        check(g)
+        check(complement(g))
+    for n in range(9, 13):
+        # 300 graphs G(n, p) per n, 100 at each edge probability p
+        pairs = [(u, v) for v in range(n) for u in range(v)]
+        for k in range(300):
+            p = (0.2, 0.5, 0.8)[k % 3]
+            check(from_edges(n, [e for e in pairs if rng.random() < p]))
+
+
 def _pairwise_twins(n, rows):
     # u and v are twins when N(u) - {v} = N(v) - {u}
     return [
@@ -449,7 +478,8 @@ def test_generator_n8_digest():
 
 def test_generator_prunes_canonical_forms(monkeypatch):
     # a cold n <= 7 build in a private cache, so the shared one is untouched;
-    # extending every parent by every mask takes 7,815 canonical forms
+    # extending every parent by every mask takes 7,815 canonical forms, and
+    # the degree prefilter skips only masks that the inv rule rejects
     want = connected_graph6_lines(7)
     calls = []
     canonical = graphs._canonical_g6
@@ -460,7 +490,7 @@ def test_generator_prunes_canonical_forms(monkeypatch):
     monkeypatch.setattr(graphs, "connected_graph6_lines", cold)
     assert graphs.connected_graph6_lines(7) == want
     assert cold.cache_info().currsize == 7
-    assert len(calls) <= 1500
+    assert len(calls) == 1305
 
 
 def test_canonical_key_in_generator_output():

@@ -34,13 +34,14 @@ def _fresh(code):
 
 
 def test_import_loads_no_pool_fractions_or_dataclasses():
-    # a serial sweep loads neither the Pool nor fractions; reading an
-    # uncertainty loads fractions
+    # nor the closed forms; a serial sweep loads neither the Pool nor
+    # fractions; reading an uncertainty loads fractions
     code = """\
 import sys
 import cospec
 from cospec import census
-print(*sorted({"multiprocessing", "fractions", "dataclasses"} & sys.modules.keys()), "|")
+print(*sorted({"multiprocessing", "fractions", "dataclasses", "cospec.closed_forms"}
+              & sys.modules.keys()), "|")
 spec = cospec.CensusSpec(4, census.Domain.CONNECTED, (cospec.MatrixKind.ADJACENCY,),
                          cospec.Flavor.SPECTRAL)
 row, = cospec.run_census(spec, jobs=1)
@@ -49,6 +50,24 @@ row.uncertainty
 print(*sorted({"multiprocessing", "fractions"} & sys.modules.keys()))
 """
     assert _fresh(code) == ["|", "|", "fractions"]
+
+
+def test_closed_forms_load_on_first_use():
+    code = """\
+import sys
+import cospec
+print("cospec.closed_forms" in sys.modules)
+from cospec import star_snf
+print("cospec.closed_forms" in sys.modules)
+from cospec import closed_forms
+names = ("TreeData", "TwoMatching", "minimal_two_matchings", "multipartite_snf", "rho",
+         "star_snf", "tree_delta_n", "tree_snf")
+print(star_snf is closed_forms.star_snf,
+      all(getattr(cospec, name) is getattr(closed_forms, name) for name in names))
+"""
+    assert _fresh(code) == ["False", "True", "True", "True"]
+    with pytest.raises(AttributeError, match="has no attribute 'tree_snfs'"):
+        cospec.tree_snfs
 
 
 def _records():
