@@ -34,8 +34,9 @@ def _fresh(code):
 
 
 def test_import_loads_no_pool_fractions_or_dataclasses():
-    # nor the closed forms; a serial sweep loads neither the Pool nor
-    # fractions; reading an uncertainty loads fractions
+    # a fresh import loads none of these, nor the closed forms; a serial
+    # sweep loads neither the Pool nor fractions; reading an uncertainty
+    # loads fractions
     code = """\
 import sys
 import cospec
