@@ -20,7 +20,6 @@ from .errors import Graph6ParseError, UnsupportedSizeError, at_line
 
 MAX_VERTICES = 64  # representable
 MAX_SHORT_GRAPH6_VERTICES = 62  # one size byte; header 126 starts the long form
-CANONICAL_MAX_N = 8
 GENERATOR_MAX_N = 9
 TREE_MAX_N = 12
 
@@ -502,13 +501,14 @@ def canonical_key(g):
     """Minimum graph6 string over all vertex relabelings, as bytes.
 
     Equal keys hold exactly for isomorphic graphs. Twin-pruned level search
-    (_canonical_columns), bounded at n = CANONICAL_MAX_N; n = 8 is where the
-    tests compare it with a brute-force minimum.
+    (_canonical_columns), bounded at n = GENERATOR_MAX_N, where the bundled
+    generator runs the same search; n = 8 is where the tests compare it
+    with a brute-force minimum.
     """
-    if g.n > CANONICAL_MAX_N:
+    if g.n > GENERATOR_MAX_N:
         raise UnsupportedSizeError(
             f"canonical keys use the twin-pruned level search, supported up to "
-            f"n = {CANONICAL_MAX_N} (got {g.n})"
+            f"n = {GENERATOR_MAX_N} (got {g.n})"
         )
     return _canonical_g6(g.n, g.rows).encode("ascii")
 

@@ -317,11 +317,21 @@ def test_canonical_key_relabelings():
     assert canonical_key(a) == canonical_key(b)
     assert canonical_key(a) != canonical_key(complete(3))
     assert canonical_key(complete(4)) == b"C~"
+    # at n = 9, the generator's largest size, a key is the same for seeded
+    # relabelings and is its own key
+    rng = random.Random(9)
+    for _ in range(4):
+        g = from_edges(9, [(u, v) for u in range(9) for v in range(u + 1, 9) if rng.random() < 0.5])
+        key = canonical_key(g)
+        assert canonical_key(parse_graph6(key.decode("ascii"))) == key
+        for _ in range(3):
+            perm = rng.sample(range(9), 9)
+            assert canonical_key(from_edges(9, [(perm[u], perm[v]) for u, v in g.edges()])) == key
 
 
 def test_canonical_key_size_bound():
     with pytest.raises(UnsupportedSizeError):
-        canonical_key(empty(9))
+        canonical_key(empty(10))
 
 
 def _brute_force_key(g):

@@ -22,6 +22,7 @@ from cospec.graphs import (
     write_graph6,
 )
 from cospec.intlinalg import (
+    GENERATED_MAX_N,
     charpoly_coeffs,
     checked_chain,
     cof_coeffs,
@@ -201,6 +202,22 @@ def test_charpoly_matches_reference_on_large_entries():
         assert charpoly_coeffs(m) == berkowitz_charpoly(m)
 
 
+def test_charpoly_on_both_sides_of_the_generated_size_bound():
+    # sizes up to GENERATED_MAX_N run generated code, larger ones the loop;
+    # both must give the reference charpoly and refuse the same matrices
+    rng = random.Random(33)
+    for n in range(1, GENERATED_MAX_N + 3):
+        for bound in (1, 10**3, 10**6):
+            m = random_symmetric(rng, n, -bound, bound)
+            assert charpoly_coeffs(m) == berkowitz_charpoly(m)
+    for n in range(2, GENERATED_MAX_N + 2):
+        for i, j in ((0, 1), (n - 2, n - 1)):
+            m = random_symmetric(rng, n)
+            m[i][j] += 1
+            with pytest.raises(ValueError, match="symmetric"):
+                charpoly_coeffs(m)
+
+
 def test_charpoly_matches_reference_on_larger_matrices():
     # the two-pivot passes end with one pivot for odd n; every n from 13
     # to 20, twice each
@@ -239,9 +256,11 @@ def test_determinant_and_snf_reject_non_square():
 
 def test_charpoly_decode_check(monkeypatch):
     # a digit size too small for the coefficients must not decode silently
+    # on both sides of the generated size bound
     monkeypatch.setattr(cospec.intlinalg, "isqrt", lambda v: 0)
-    with pytest.raises(ConsistencyError):
-        charpoly_coeffs([[100]])
+    for n in (1, GENERATED_MAX_N + 1):
+        with pytest.raises(ConsistencyError):
+            charpoly_coeffs([[100 * (i == j) for j in range(n)] for i in range(n)])
 
 
 def test_charpoly_trace_check(monkeypatch):
